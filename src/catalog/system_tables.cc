@@ -223,6 +223,7 @@ Result<SchemaPtr> SystemTableSchema(const std::string& name) {
         {"priority", TypeId::kInt64, false},
         {"finish_ms", TypeId::kDouble, false},
         {"fingerprint", TypeId::kString, false},
+        {"error", TypeId::kString, false},
     });
   }
   if (lower == "gis.advisor") {

@@ -16,8 +16,8 @@
 ///                   pooled execution;
 ///   gis.histograms  digests (count/sum/min/max/p50/p95/p99) of every
 ///                   registry histogram;
-///   gis.queries     the bounded ring of recently executed queries,
-///                   with admission wait and shed reason;
+///   gis.queries     the bounded ring of recently logged statements,
+///                   with admission wait, shed reason and error;
 ///   gis.admission   one row: the resource governor's limits and
 ///                   admit/shed/budget/breaker counters;
 ///   gis.tenants     per-tenant attribution rows whose column sums

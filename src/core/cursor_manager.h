@@ -54,27 +54,9 @@ class CursorManager {
     double lease_ms = 0.0;
     double lease_deadline_ms = 0.0;
     /// Simulated ms spent on this cursor so far (open + fetches +
-    /// close), plus the traffic behind them.
+    /// close). Its traffic and attribution accumulate in the
+    /// mediator's outcome for the cursor, recorded at end of life.
     double elapsed_ms = 0.0;
-    int64_t bytes_sent = 0;
-    int64_t bytes_received = 0;
-    int64_t messages = 0;
-    int64_t retries = 0;
-    /// Attribution carried from OpenCursor to the finalize-time
-    /// query-log entry and tenant charge (obs/query_context.h).
-    std::string tenant = "default";
-    int priority = 1;
-    double arrival_ms = 0.0;
-    double admission_wait_ms = 0.0;
-    /// Buffer-pool deltas accumulated per cursor operation (cursor
-    /// lifetimes interleave with other queries, so the per-statement
-    /// bracketing must accumulate here instead).
-    int64_t page_hits = 0;
-    int64_t page_misses = 0;
-    double disk_ms = 0.0;
-    /// Peak booked grant bytes across the cursor's life (streaming
-    /// re-grants per chunk, so end-of-life used() would understate).
-    int64_t mem_peak_bytes = 0;
 
     std::unique_ptr<RowStream> stream;
     /// Keeps the plan nodes the stream references alive.

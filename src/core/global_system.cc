@@ -213,7 +213,6 @@ Status GlobalSystem::ExecuteAtomically(
   // at-least-once delivery is safe.
   auto call = [&](const std::string& source, wire::Opcode op,
                   const std::string& sql, uint64_t stmt_seq,
-                  uint64_t commit_ts, uint64_t watermark,
                   std::vector<uint8_t>* payload) -> Status {
     ByteWriter req;
     req.PutString(txn_id);
@@ -222,9 +221,6 @@ Status GlobalSystem::ExecuteAtomically(
       req.PutString(sql);
       req.PutVarint(numeric_id);
       req.PutVarint(snapshot_ts);
-    } else if (op == wire::Opcode::kTxnCommit) {
-      req.PutVarint(commit_ts);
-      req.PutVarint(watermark);
     }
     RetryResult r =
         CallWithRetry(network_, retry_policy_, kMediatorHost, source,
@@ -241,8 +237,7 @@ Status GlobalSystem::ExecuteAtomically(
   for (size_t i = 0; i < writes.size(); ++i) {
     const auto& w = writes[i];
     std::vector<uint8_t> payload;
-    Status st = call(w.source, wire::Opcode::kTxnPrepare, w.sql, i, 0, 0,
-                     &payload);
+    Status st = call(w.source, wire::Opcode::kTxnPrepare, w.sql, i, &payload);
     if (st.ok() && !payload.empty()) {
       // Lock verdict in the response trailer: a one-shot transaction
       // has nothing to wait for, so a conflict aborts it outright.
@@ -255,7 +250,7 @@ Status GlobalSystem::ExecuteAtomically(
     }
     if (!st.ok()) {
       for (const auto& p : participants) {
-        (void)call(p, wire::Opcode::kTxnAbort, "", 0, 0, 0, nullptr);
+        (void)call(p, wire::Opcode::kTxnAbort, "", 0, nullptr);
       }
       txns_.MarkAborted(numeric_id,
                         "prepare failed at '" + w.source + "'",
@@ -269,29 +264,7 @@ Status GlobalSystem::ExecuteAtomically(
   }
 
   // Phase 2: commit. Failures here leave the classic in-doubt state.
-  // The commit timestamp is allocated (and the transaction retired)
-  // before delivery so the watermark reflects the remaining readers.
-  const uint64_t commit_ts = txns_.AllocateCommitTs();
-  txns_.MarkCommitted(numeric_id, commit_ts, governor_.now_ms());
-  const uint64_t watermark = options_.txn_gc ? txns_.Watermark() : 0;
-  std::string in_doubt;
-  for (const auto& p : participants) {
-    Status st = call(p, wire::Opcode::kTxnCommit, "", 0, commit_ts,
-                     watermark, nullptr);
-    if (!st.ok()) {
-      if (!in_doubt.empty()) in_doubt += ", ";
-      in_doubt += "'" + p + "' (" + st.message() + ")";
-    }
-    if (cache_) cache_->InvalidateSource(p);
-  }
-  if (!in_doubt.empty()) {
-    return Status::Internal(
-        "global transaction ", txn_id,
-        " is in doubt: commit could not be delivered to ", in_doubt,
-        "; staged rows remain there until the source is reachable and "
-        "the commit is re-sent or aborted");
-  }
-  return Status::OK();
+  return CommitAtParticipants(t);
 }
 
 Result<uint64_t> GlobalSystem::BeginTransaction() {
@@ -307,20 +280,16 @@ Result<uint64_t> GlobalSystem::BeginTransaction() {
 Result<QueryResult> GlobalSystem::QueryInTxn(uint64_t txn_id,
                                              const std::string& sql) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  const uint64_t snapshot_ts = t->snapshot_ts;
-  MemoryGrant grant = governor_.memory().NewGrant();
   // Transactional statements are interactive-session work: default
   // tenant, closed-loop arrival at the current virtual clock.
-  QueryContext qctx;
-  qctx.arrival_ms = governor_.now_ms();
-  qctx.start_ms = qctx.arrival_ms;
-  Result<QueryResult> result =
-      RunStatement(sql, &grant, qctx, 0.0, snapshot_ts, txn_id);
-  if (result.ok()) {
-    governor_.AdvanceTo(governor_.now_ms() + result->metrics.elapsed_ms);
-    t->statements += 1;
-  }
-  return result;
+  Pipeline p;
+  p.advance_clock = true;
+  p.snapshot_ts = t->snapshot_ts;
+  p.txn_id = txn_id;
+  Delivered out;
+  GISQL_RETURN_NOT_OK(RunPipeline(sql, p, &out));
+  t->statements += 1;
+  return std::move(out.result);
 }
 
 Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
@@ -422,13 +391,18 @@ Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
 
 Status GlobalSystem::CommitTransaction(uint64_t txn_id) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  const std::string wire_id = "gtxn-" + std::to_string(t->id);
-  const std::set<std::string> participants = t->participants;
+  return CommitAtParticipants(*t);
+}
+
+Status GlobalSystem::CommitAtParticipants(TxnInfo& t) {
+  const uint64_t id = t.id;
+  const std::string wire_id = "gtxn-" + std::to_string(id);
+  const std::set<std::string> participants = t.participants;
   // Retire the transaction before computing the watermark so its own
   // snapshot no longer holds GC back; delivery failures below cannot
   // un-commit it (presumed commit — the classic in-doubt state).
   const uint64_t commit_ts = txns_.AllocateCommitTs();
-  txns_.MarkCommitted(txn_id, commit_ts, governor_.now_ms());
+  txns_.MarkCommitted(id, commit_ts, governor_.now_ms());
   const uint64_t watermark = options_.txn_gc ? txns_.Watermark() : 0;
 
   std::string in_doubt;
@@ -786,19 +760,9 @@ Result<PlanNodePtr> GlobalSystem::PlanQuery(const sql::SelectStmt& stmt,
   return decomposer.Decompose(std::move(plan));
 }
 
-Result<std::string> GlobalSystem::Explain(const std::string& sql) {
-  GISQL_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  if (stmt.select == nullptr) {
-    return Status::InvalidArgument("EXPLAIN requires a SELECT statement");
-  }
-  GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan, PlanQuery(*stmt.select));
-  return plan->Explain();
-}
-
 namespace {
 
-/// Snapshot of the network counters a query can move; two snapshots
-/// bracket an execution and their difference is the query's traffic.
+/// Snapshot of the network counters a statement can move.
 struct NetCounters {
   int64_t bytes_sent = 0;
   int64_t bytes_received = 0;
@@ -815,20 +779,7 @@ struct NetCounters {
   }
 };
 
-void FillNetDeltas(QueryMetrics& m, const NetCounters& before,
-                   const NetCounters& after) {
-  m.bytes_sent = after.bytes_sent - before.bytes_sent;
-  m.bytes_received = after.bytes_received - before.bytes_received;
-  m.messages = after.messages - before.messages;
-  m.retries = after.retries - before.retries;
-}
-
-/// Aggregate buffer-pool counters over every source; two snapshots
-/// bracket an execution and their difference is the work done at the
-/// sources on that statement's behalf. Safe as per-query attribution
-/// because the mediator executes one statement at a time (the worker
-/// pool parallelizes *within* a statement, and SourceSequencer makes
-/// pooled page counters replay serial-identically).
+/// Aggregate buffer-pool counters over every source.
 struct PoolCounters {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -846,18 +797,388 @@ struct PoolCounters {
   }
 };
 
+/// The one-column result of EXPLAIN and EXPLAIN ANALYZE.
+RowBatch PlanTextBatch(const std::string& text) {
+  RowBatch batch(std::make_shared<Schema>(
+      std::vector<Field>{{"plan", TypeId::kString}}));
+  batch.Append({Value::String(text)});
+  return batch;
+}
+
 }  // namespace
+
+template <typename Stage>
+auto GlobalSystem::Metered(Traffic* traffic, Stage&& stage)
+    -> decltype(stage()) {
+  const NetCounters net = NetCounters::Read(network_);
+  const PoolCounters pools = PoolCounters::Read(sources_);
+  auto out = stage();
+  const NetCounters net_after = NetCounters::Read(network_);
+  const PoolCounters pools_after = PoolCounters::Read(sources_);
+  traffic->bytes_sent += net_after.bytes_sent - net.bytes_sent;
+  traffic->bytes_received += net_after.bytes_received - net.bytes_received;
+  traffic->messages += net_after.messages - net.messages;
+  traffic->retries += net_after.retries - net.retries;
+  traffic->page_hits += pools_after.hits - pools.hits;
+  traffic->page_misses += pools_after.misses - pools.misses;
+  traffic->disk_ms += (pools_after.disk_us - pools.disk_us) / 1e3;
+  return out;
+}
 
 Result<QueryResult> GlobalSystem::Query(const std::string& sql) {
   return Submit(sql, SubmitOptions());
 }
 
-void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
-                                      const QueryContext& qctx,
-                                      int64_t mem_bytes, int64_t page_hits,
-                                      int64_t page_misses, double disk_ms) {
-  entry.tenant = qctx.tenant;
-  entry.priority = qctx.priority;
+Result<QueryResult> GlobalSystem::Submit(const std::string& sql,
+                                         const SubmitOptions& submit) {
+  Pipeline p;
+  p.submit = &submit;
+  p.admit = options_.admission_control;
+  p.advance_clock = p.admit;
+  p.tick_advisor = true;
+  Delivered out;
+  GISQL_RETURN_NOT_OK(RunPipeline(sql, p, &out));
+  return std::move(out.result);
+}
+
+Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
+                                          const CursorOptions& opts) {
+  SweepExpiredCursors(governor_.now_ms());
+  Pipeline p;
+  p.delivery = Delivery::kCursor;
+  p.chunk_rows =
+      opts.chunk_rows > 0 ? opts.chunk_rows : options_.cursor_chunk_rows;
+  if (p.chunk_rows <= 0) {
+    return Status::InvalidArgument("cursor chunk_rows must be positive, got ",
+                                   p.chunk_rows);
+  }
+  p.lease_ms = opts.lease_ms >= 0.0 ? opts.lease_ms : options_.cursor_lease_ms;
+  p.submit = &opts.submit;
+  // The admission slot covers only the open (which runs the whole plan
+  // when it must spool); fetches happen outside it, so cursor_max_open
+  // — not max_concurrent_queries — bounds concurrently open cursors.
+  p.admit = options_.admission_control;
+  p.advance_clock = p.admit;
+  p.tick_advisor = true;
+  Delivered out;
+  GISQL_RETURN_NOT_OK(RunPipeline(sql, p, &out));
+  return out.cursor_id;
+}
+
+Result<std::string> GlobalSystem::Explain(const std::string& sql) {
+  Pipeline p;
+  p.delivery = Delivery::kExplain;
+  Delivered out;
+  GISQL_RETURN_NOT_OK(RunPipeline(sql, p, &out));
+  return std::move(out.result.metrics.plan_text);
+}
+
+Status GlobalSystem::RunPipeline(const std::string& sql, const Pipeline& p,
+                                 Delivered* out) {
+  Outcome o;
+  o.sql = &sql;
+  uint64_t ticket = 0;
+  Status st = Admit(p, &o, &ticket);
+  const bool admitted = st.ok();
+  // The slot frees at the statement's simulated completion.
+  auto release = [&](double end_ms) {
+    if (p.admit) governor_.admission().Release(ticket, end_ms);
+    if (p.advance_clock) governor_.AdvanceTo(end_ms);
+  };
+  bool record = p.delivery != Delivery::kExplain;
+  if (admitted) {
+    st = Process(sql, p, &o, out, &record);
+    if (!st.ok()) {
+      // A failure frees its slot at once (zero width). Overloaded means
+      // the query memory budget aborted it: a shed, one count per query
+      // (charge denials within a query are schedule-dependent; the
+      // query-level outcome is not). Anything else is an error.
+      release(o.qctx.start_ms);
+      if (st.IsOverloaded()) {
+        governor_.RecordMemoryShed();
+        metrics_.Add("admission.shed", 1);
+        o.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
+      } else {
+        o.error = StatusCodeToString(st.code());
+      }
+    }
+  }
+  if (record) {
+    // Appended only after execution, so a gis.queries scan never
+    // observes the statement currently running it.
+    o.finish_ms = o.qctx.start_ms + o.elapsed_ms;
+    Record(o);
+  }
+  if (admitted) {
+    if (st.ok()) release(o.qctx.start_ms + o.elapsed_ms);
+    // The advisor rides the statement clock: by this point the governor
+    // has advanced past this statement's completion, so tick times —
+    // and therefore decisions — replay identically for the same seed.
+    if (p.tick_advisor) advisor_->Tick(governor_.now_ms());
+  }
+  return st;
+}
+
+Status GlobalSystem::Admit(const Pipeline& p, Outcome* o, uint64_t* ticket) {
+  static const SubmitOptions kClosedLoop;
+  const SubmitOptions& submit = p.submit != nullptr ? *p.submit : kClosedLoop;
+  o->qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
+  o->qctx.priority = submit.priority;
+  // Closed-loop callers arrive at the completion time of the previous
+  // statement, so a slot is always free and the governor is invisible;
+  // open-loop callers pass explicit arrivals.
+  o->qctx.arrival_ms =
+      submit.arrival_ms >= 0 ? submit.arrival_ms : governor_.now_ms();
+  o->qctx.start_ms = o->qctx.arrival_ms;
+
+  // Refusals still land in gis.queries (with their reason and zero
+  // traffic) so operators can see *what* was refused — and in the
+  // tenant ledger, so noisy neighbors show up in their sheds. The
+  // open-cursor cap is checked first, so a refused open allocates
+  // nothing: no cursor, no grant, no admission ticket.
+  if (p.delivery == Delivery::kCursor &&
+      cursors_.OpenCount() >= static_cast<size_t>(options_.cursor_max_open)) {
+    metrics_.Add("cursor.shed", 1);
+    o->shed_reason = "cursor_limit";
+    return Status::Overloaded("cursor shed: ", cursors_.OpenCount(),
+                              " cursors already open (limit ",
+                              options_.cursor_max_open, ")");
+  }
+  if (!p.admit) return Status::OK();
+  AdmissionRequest req;
+  req.arrival_ms = o->qctx.arrival_ms;
+  req.priority = submit.priority;
+  req.max_wait_ms = submit.max_wait_ms;
+  const AdmissionDecision decision = governor_.admission().Admit(req);
+  if (!decision.admitted) {
+    metrics_.Add("admission.shed", 1);
+    o->shed_reason = ShedReasonName(decision.reason);
+    if (decision.reason == ShedReason::kDeadline) {
+      return Status::Overloaded(
+          "query shed: the admission queue would hold it for ",
+          decision.wait_ms, " ms, past its ", "deadline (",
+          decision.queued_ahead, " queries ahead)");
+    }
+    return Status::Overloaded(
+        "query shed: the admission wait queue is full (",
+        decision.queued_ahead, " queued, limit ",
+        governor_.admission().config().queue_limit, ")");
+  }
+  metrics_.Add("admission.admitted", 1);
+  metrics_.Observe("admission.wait_ms", decision.wait_ms);
+  *ticket = decision.ticket;
+  o->qctx.start_ms = decision.start_ms;
+  o->admission_wait_ms = decision.wait_ms;
+  return Status::OK();
+}
+
+Status GlobalSystem::Process(const std::string& sql, const Pipeline& p,
+                             Outcome* o, Delivered* out, bool* record) {
+  // Parse. A statement delivering rows owns the collector for its
+  // duration; the spans stay readable until the next one (or
+  // DisableTracing). Cursors and Explain() leave it alone.
+  TraceCollector* tr =
+      p.delivery == Delivery::kResult ? trace_.get() : nullptr;
+  uint64_t root = 0;
+  if (tr != nullptr) {
+    tr->Clear();
+    root = tr->Begin("query", "lifecycle", 0, 0.0);
+    tr->SetNote(root, sql);
+    tr->Begin("parse", "lifecycle", root, 0.0);
+    o->trace_root = static_cast<int64_t>(root);
+  }
+  GISQL_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  using Kind = sql::Statement::Kind;
+  if (p.delivery == Delivery::kCursor && stmt.kind != Kind::kSelect) {
+    return Status::InvalidArgument(
+        "cursors serve SELECT statements; EXPLAIN and DDL/DML go "
+        "through Query()/ExecuteAt()");
+  }
+  if (stmt.select == nullptr) {
+    return Status::InvalidArgument(
+        p.delivery == Delivery::kExplain
+            ? "EXPLAIN requires a SELECT statement"
+            : "the mediator accepts SELECT/EXPLAIN; DDL and DML run at the "
+              "component sources");
+  }
+  QueryResult& result = out->result;
+  result.metrics.admission_wait_ms = o->admission_wait_ms;
+  if (p.delivery == Delivery::kExplain || stmt.kind == Kind::kExplain) {
+    *record = false;  // plain EXPLAIN executes nothing
+  }
+
+  // Plan.
+  GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan, PlanQuery(*stmt.select, tr, root));
+  if (!*record) {
+    result.metrics.plan_text = plan->Explain();
+    result.batch = PlanTextBatch(result.metrics.plan_text);
+    return Status::OK();
+  }
+  const bool analyze = stmt.kind == Kind::kExplainAnalyze;
+
+  // Cache lookup. The decomposed plan's canonical text identifies the
+  // computation. gis.* snapshots change between executions by design,
+  // and a transactional read is pinned to its snapshot, so neither is
+  // served from nor inserted into the (latest-committed) cache. Cursors
+  // bypass it too: a chunked delivery has nothing to insert, and
+  // serving chunks from a cached batch would dodge the memory
+  // accounting cursors exist to enforce.
+  bool use_cache = cache_ != nullptr && p.delivery == Delivery::kResult &&
+                   !analyze && p.snapshot_ts == 0 && p.txn_id == 0;
+  if (use_cache) {
+    VisitPlan(plan, [&](const PlanNodePtr& node) {
+      if (node->kind == PlanKind::kVirtualScan) use_cache = false;
+    });
+  }
+  std::string cache_key;
+  if (use_cache) {
+    cache_key = plan->Explain();
+    const uint64_t lookup =
+        tr != nullptr ? tr->Begin("cache.lookup", "lifecycle", root, 0.0) : 0;
+    auto cached = cache_->Lookup(cache_key);
+    if (tr != nullptr) tr->SetNote(lookup, cached ? "hit" : "miss");
+    if (cached) {
+      // Served from mediator memory: zero simulated latency, zero
+      // traffic.
+      result.batch = std::move(cached->batch);
+      result.metrics.cache_hit = true;
+      result.metrics.plan_text = cache_key + "(cache hit)\n";
+      o->cache_hit = true;
+      o->rows = static_cast<int64_t>(result.batch.num_rows());
+      use_cache = false;  // nothing to insert
+    }
+  }
+
+  // Execute: incrementally behind a cursor for streamable plans,
+  // otherwise to completion, charged to the statement's memory grant
+  // (for a cursor, served from the resulting spool).
+  MemoryGrant grant = governor_.memory().NewGrant();
+  const bool streaming =
+      p.delivery == Delivery::kCursor && IsStreamablePlan(plan);
+  std::unique_ptr<RowStream> stream;
+  ExecOutput exec;
+  uint64_t exec_span = 0;
+  if (streaming) {
+    GISQL_ASSIGN_OR_RETURN(stream, Metered(&o->traffic, [&] {
+      return OpenPlanStream(MakeExecContext(nullptr), plan, p.chunk_rows,
+                            cursors_.token_counter());
+    }));
+  } else if (!o->cache_hit) {
+    ExecContext ctx = MakeExecContext(&grant);
+    ctx.snapshot_ts = p.snapshot_ts;
+    ctx.txn_id = p.txn_id;
+    ctx.record_actuals = analyze;
+    if (tr != nullptr) {
+      exec_span = tr->Begin("execute", "lifecycle", root, 0.0);
+      ctx.trace = tr;
+      ctx.trace_parent = exec_span;
+    }
+    Executor executor(ctx);
+    GISQL_ASSIGN_OR_RETURN(
+        exec, Metered(&o->traffic, [&] { return executor.Execute(plan); }));
+    o->elapsed_ms = exec.elapsed_ms;
+    o->mem_bytes = grant.used();
+  }
+
+  // Deliver.
+  if (p.delivery == Delivery::kCursor) {
+    if (!streaming) {
+      stream = MakeSpoolStream(std::move(exec.batch), p.chunk_rows);
+    }
+    const double opened_at = p.admit ? o->qctx.start_ms + o->elapsed_ms
+                                     : governor_.now_ms();
+    CursorManager::Entry& e =
+        cursors_.Create(sql, streaming, p.chunk_rows, opened_at, p.lease_ms);
+    e.stream = std::move(stream);
+    e.plan = std::move(plan);
+    // The grant keeps a spool's full charge until the cursor dies — the
+    // spool really is resident.
+    e.grant = std::move(grant);
+    // Pin the current snapshot for the cursor's lifetime: the GC
+    // watermark cannot pass it, so version chains its scan could still
+    // reference survive until the cursor finalizes.
+    e.snapshot_pin = txns_.PinSnapshot();
+    e.elapsed_ms = o->elapsed_ms;
+    o->sql = &e.sql;
+    cursor_outcomes_.emplace(e.id, *o);
+    metrics_.Add("cursor.opened", 1);
+    out->cursor_id = e.id;
+    *record = false;  // FinalizeCursor records the cursor's whole life
+    return Status::OK();
+  }
+  QueryMetrics& m = result.metrics;
+  if (!o->cache_hit) {
+    m.elapsed_ms = exec.elapsed_ms;
+    m.bytes_sent = o->traffic.bytes_sent;
+    m.bytes_received = o->traffic.bytes_received;
+    m.messages = o->traffic.messages;
+    m.retries = o->traffic.retries;
+    o->rows = static_cast<int64_t>(exec.batch.num_rows());
+    if (analyze) {
+      m.plan_text = plan->Explain();
+      m.plan_text += "Total: " + std::to_string(exec.batch.num_rows()) +
+                     " row(s) in " + std::to_string(exec.elapsed_ms) +
+                     " simulated ms\n";
+      m.plan_text += "Network: " + std::to_string(m.bytes_sent) +
+                     " bytes sent, " + std::to_string(m.bytes_received) +
+                     " bytes received, " + std::to_string(m.messages) +
+                     " message(s), " + std::to_string(m.retries) +
+                     " retrie(s)\n";
+      result.batch = PlanTextBatch(m.plan_text);
+    } else {
+      result.batch = std::move(exec.batch);
+      m.plan_text = plan->Explain();
+    }
+  }
+  metrics_.Add("query.count", 1);
+  metrics_.Observe("query.ms", m.elapsed_ms);
+  metrics_.Observe("query.bytes", static_cast<double>(m.bytes_received));
+  if (tr != nullptr) {
+    tr->SetRows(root, o->rows);
+    if (exec_span != 0) tr->End(exec_span, m.elapsed_ms);
+  }
+  if (use_cache) {
+    if (tr != nullptr) {
+      tr->Begin("cache.insert", "lifecycle", root, m.elapsed_ms);
+    }
+    std::set<std::string> sources;
+    std::set<std::string> tables;
+    VisitPlan(plan, [&](const PlanNodePtr& node) {
+      if (node->kind == PlanKind::kRemoteFragment) {
+        sources.insert(node->fragment_source);
+        if (!node->scan_global_name.empty()) {
+          tables.insert(node->scan_global_name);
+        }
+        for (const auto& alt : node->scan_alternates) {
+          sources.insert(alt.source);
+          if (!alt.global_name.empty()) tables.insert(alt.global_name);
+        }
+      }
+    });
+    cache_->Insert(cache_key, result.batch, m.elapsed_ms, std::move(sources),
+                   std::move(tables));
+  }
+  if (tr != nullptr) tr->End(root, m.elapsed_ms);
+  return Status::OK();
+}
+
+void GlobalSystem::Record(const Outcome& o) {
+  QueryLogEntry entry;
+  entry.sql = *o.sql;
+  entry.elapsed_ms = o.elapsed_ms;
+  entry.bytes_sent = o.traffic.bytes_sent;
+  entry.bytes_received = o.traffic.bytes_received;
+  entry.messages = o.traffic.messages;
+  entry.retries = o.traffic.retries;
+  entry.cache_hit = o.cache_hit;
+  entry.rows = o.rows;
+  entry.trace_root = o.trace_root;
+  entry.admission_wait_ms = o.admission_wait_ms;
+  entry.shed_reason = o.shed_reason;
+  entry.error = o.error;
+  entry.tenant = o.qctx.tenant;
+  entry.priority = o.qctx.priority;
+  entry.finish_ms = o.finish_ms;
   // Template fingerprint: literals/whitespace normalized away, so the
   // advisor (and gis.queries readers) can group recurring shapes.
   entry.fingerprint = sql::FingerprintHex(entry.sql);
@@ -865,32 +1186,30 @@ void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
 
   TenantCharge charge;
   charge.shed = shed;
-  charge.cache_hit = entry.cache_hit;
-  charge.rows = entry.rows;
-  charge.elapsed_ms = entry.elapsed_ms;
-  charge.admission_wait_ms = entry.admission_wait_ms;
-  charge.bytes_sent = entry.bytes_sent;
-  charge.bytes_received = entry.bytes_received;
-  charge.messages = entry.messages;
-  charge.retries = entry.retries;
-  charge.mem_bytes = mem_bytes;
-  charge.page_hits = page_hits;
-  charge.page_misses = page_misses;
-  charge.disk_ms = disk_ms;
-  tenants_.Record(qctx.tenant, charge);
+  charge.cache_hit = o.cache_hit;
+  charge.rows = o.rows;
+  charge.elapsed_ms = o.elapsed_ms;
+  charge.admission_wait_ms = o.admission_wait_ms;
+  charge.bytes_sent = o.traffic.bytes_sent;
+  charge.bytes_received = o.traffic.bytes_received;
+  charge.messages = o.traffic.messages;
+  charge.retries = o.traffic.retries;
+  charge.mem_bytes = o.mem_bytes;
+  charge.page_hits = o.traffic.page_hits;
+  charge.page_misses = o.traffic.page_misses;
+  charge.disk_ms = o.traffic.disk_ms;
+  tenants_.Record(o.qctx.tenant, charge);
 
   QueryFrame frame;
-  frame.tenant = qctx.tenant;
-  frame.priority = qctx.priority;
-  frame.finish_ms = entry.finish_ms;
-  frame.sojourn_ms = entry.admission_wait_ms + entry.elapsed_ms;
-  frame.rows = entry.rows;
-  frame.bytes = entry.bytes_sent + entry.bytes_received;
-  frame.cache_hit = entry.cache_hit;
+  frame.tenant = o.qctx.tenant;
+  frame.priority = o.qctx.priority;
+  frame.finish_ms = o.finish_ms;
+  frame.sojourn_ms = o.admission_wait_ms + o.elapsed_ms;
+  frame.rows = o.rows;
+  frame.bytes = o.traffic.bytes_sent + o.traffic.bytes_received;
+  frame.cache_hit = o.cache_hit;
   frame.shed_reason = entry.shed_reason;
   frame.sql = entry.sql;
-  const double finish_ms = entry.finish_ms;
-  const double sojourn_ms = frame.sojourn_ms;
 
   // Append before feeding the triggers so an incident fired by this
   // very statement already sees it in gis.queries and the frame ring.
@@ -899,8 +1218,10 @@ void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
   flight_.RecordFrame(frame);
 
   if (options_.slo_enabled) {
+    // Shed and failed statements are never good.
     for (const SloAlert& alert :
-         slo_.Record(qctx.priority, finish_ms, sojourn_ms, shed)) {
+         slo_.Record(o.qctx.priority, o.finish_ms, frame.sojourn_ms,
+                     shed || *o.error != '\0')) {
       flight_.OnSloAlert(alert.objective, alert.at_ms, alert.fast_burn,
                          alert.slow_burn);
     }
@@ -923,7 +1244,7 @@ void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
         if (!detail.empty()) detail += ",";
         detail += s;
       }
-      flight_.OnBreakerOpen(detail, finish_ms);
+      flight_.OnBreakerOpen(detail, o.finish_ms);
     }
   }
 }
@@ -1022,468 +1343,6 @@ std::string GlobalSystem::SystemStateJson(double now_ms) const {
   return out;
 }
 
-Result<AdmissionDecision> GlobalSystem::AdmitOrShed(
-    const std::string& sql, const SubmitOptions& submit) {
-  AdmissionRequest req;
-  // Closed-loop callers (plain Query) arrive at the completion time
-  // of the previous query, so a slot is always free and the governor
-  // is invisible; open-loop callers pass explicit arrivals.
-  req.arrival_ms =
-      submit.arrival_ms >= 0 ? submit.arrival_ms : governor_.now_ms();
-  req.priority = submit.priority;
-  req.max_wait_ms = submit.max_wait_ms;
-  AdmissionDecision decision = governor_.admission().Admit(req);
-  if (!decision.admitted) {
-    metrics_.Add("admission.shed", 1);
-    // Shed queries still land in gis.queries (with their reason and
-    // zero traffic) so operators can see *what* was refused — and in
-    // the tenant ledger, so noisy neighbors show up in their sheds.
-    QueryContext qctx;
-    qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
-    qctx.priority = submit.priority;
-    qctx.arrival_ms = req.arrival_ms;
-    qctx.start_ms = req.arrival_ms;
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.shed_reason = ShedReasonName(decision.reason);
-    entry.finish_ms = req.arrival_ms;  // refused at arrival
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-    if (decision.reason == ShedReason::kDeadline) {
-      return Status::Overloaded(
-          "query shed: the admission queue would hold it for ",
-          decision.wait_ms, " ms, past its ", "deadline (",
-          decision.queued_ahead, " queries ahead)");
-    }
-    return Status::Overloaded(
-        "query shed: the admission wait queue is full (",
-        decision.queued_ahead, " queued, limit ",
-        governor_.admission().config().queue_limit, ")");
-  }
-  metrics_.Add("admission.admitted", 1);
-  metrics_.Observe("admission.wait_ms", decision.wait_ms);
-  return decision;
-}
-
-Result<QueryResult> GlobalSystem::Submit(const std::string& sql,
-                                         const SubmitOptions& submit) {
-  AdmissionDecision decision;
-  const bool governed = options_.admission_control;
-  if (governed) {
-    GISQL_ASSIGN_OR_RETURN(decision, AdmitOrShed(sql, submit));
-  }
-
-  QueryContext qctx;
-  qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
-  qctx.priority = submit.priority;
-  qctx.arrival_ms =
-      submit.arrival_ms >= 0 ? submit.arrival_ms : governor_.now_ms();
-  qctx.start_ms = governed ? decision.start_ms : qctx.arrival_ms;
-
-  MemoryGrant grant = governor_.memory().NewGrant();
-  Result<QueryResult> result =
-      RunStatement(sql, &grant, qctx, decision.wait_ms);
-
-  if (governed) {
-    const double elapsed = result.ok() ? result->metrics.elapsed_ms : 0.0;
-    governor_.admission().Release(decision.ticket,
-                                  decision.start_ms + elapsed);
-    governor_.AdvanceTo(decision.start_ms + elapsed);
-  }
-  if (result.ok()) {
-    result->metrics.admission_wait_ms = decision.wait_ms;
-  } else if (result.status().IsOverloaded()) {
-    // A memory-budget abort is a shed too: one count per query (charge
-    // denials within a query are schedule-dependent; the query-level
-    // outcome is not).
-    governor_.RecordMemoryShed();
-    metrics_.Add("admission.shed", 1);
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.admission_wait_ms = decision.wait_ms;
-    entry.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
-    entry.finish_ms = qctx.start_ms;  // aborted mid-execution, zero-width
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-  }
-  // The advisor rides the statement clock: by this point the governor
-  // has advanced past this statement's completion, so tick times — and
-  // therefore decisions — replay identically for the same seed.
-  advisor_->Tick(governor_.now_ms());
-  return result;
-}
-
-Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
-                                               MemoryGrant* grant,
-                                               const QueryContext& qctx,
-                                               double admission_wait_ms,
-                                               uint64_t snapshot_ts,
-                                               uint64_t txn_id) {
-  // Each query owns the collector for its duration; the spans stay
-  // readable until the next query (or DisableTracing) replaces them.
-  TraceCollector* tr = trace_.get();
-  if (tr != nullptr) tr->Clear();
-  const uint64_t root =
-      tr != nullptr ? tr->Begin("query", "lifecycle", 0, 0.0) : 0;
-  if (tr != nullptr) {
-    tr->SetNote(root, sql);
-    tr->Begin("parse", "lifecycle", root, 0.0);
-  }
-
-  GISQL_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kExplain: {
-      GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                             PlanQuery(*stmt.select, tr, root));
-      auto schema = std::make_shared<Schema>(
-          std::vector<Field>{{"plan", TypeId::kString}});
-      QueryResult result;
-      result.batch = RowBatch(schema);
-      result.batch.Append({Value::String(plan->Explain())});
-      result.metrics.plan_text = plan->Explain();
-      return result;
-    }
-    case sql::Statement::Kind::kExplainAnalyze: {
-      GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                             PlanQuery(*stmt.select, tr, root));
-      // Bracket execution with the same counter snapshot the SELECT
-      // path uses, so ANALYZE reports real traffic alongside time.
-      const NetCounters before = NetCounters::Read(network_);
-      const PoolCounters pools_before = PoolCounters::Read(sources_);
-      ExecContext ctx = MakeExecContext(grant);
-      ctx.snapshot_ts = snapshot_ts;
-      ctx.txn_id = txn_id;
-      ctx.record_actuals = true;
-      uint64_t exec_span = 0;
-      if (tr != nullptr) {
-        exec_span = tr->Begin("execute", "lifecycle", root, 0.0);
-        ctx.trace = tr;
-        ctx.trace_parent = exec_span;
-      }
-      Executor executor(ctx);
-      GISQL_ASSIGN_OR_RETURN(ExecOutput out, executor.Execute(plan));
-      auto schema = std::make_shared<Schema>(
-          std::vector<Field>{{"plan", TypeId::kString}});
-      QueryResult result;
-      result.batch = RowBatch(schema);
-      result.metrics.elapsed_ms = out.elapsed_ms;
-      FillNetDeltas(result.metrics, before, NetCounters::Read(network_));
-      std::string text = plan->Explain();
-      text += "Total: " + std::to_string(out.batch.num_rows()) +
-              " row(s) in " + std::to_string(out.elapsed_ms) +
-              " simulated ms\n";
-      text += "Network: " + std::to_string(result.metrics.bytes_sent) +
-              " bytes sent, " + std::to_string(result.metrics.bytes_received) +
-              " bytes received, " + std::to_string(result.metrics.messages) +
-              " message(s), " + std::to_string(result.metrics.retries) +
-              " retrie(s)\n";
-      result.batch.Append({Value::String(text)});
-      result.metrics.plan_text = text;
-      metrics_.Add("query.count", 1);
-      metrics_.Observe("query.ms", out.elapsed_ms);
-      metrics_.Observe("query.bytes",
-                       static_cast<double>(result.metrics.bytes_received));
-      if (tr != nullptr) {
-        tr->SetRows(root, static_cast<int64_t>(out.batch.num_rows()));
-        tr->End(exec_span, out.elapsed_ms);
-        tr->End(root, out.elapsed_ms);
-      }
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.elapsed_ms = out.elapsed_ms;
-      entry.bytes_sent = result.metrics.bytes_sent;
-      entry.bytes_received = result.metrics.bytes_received;
-      entry.messages = result.metrics.messages;
-      entry.retries = result.metrics.retries;
-      entry.rows = static_cast<int64_t>(out.batch.num_rows());
-      entry.trace_root = static_cast<int64_t>(root);
-      entry.admission_wait_ms = admission_wait_ms;
-      entry.finish_ms = qctx.start_ms + out.elapsed_ms;
-      const PoolCounters pools_after = PoolCounters::Read(sources_);
-      RecordQueryOutcome(std::move(entry), qctx,
-                         grant != nullptr ? grant->used() : 0,
-                         pools_after.hits - pools_before.hits,
-                         pools_after.misses - pools_before.misses,
-                         (pools_after.disk_us - pools_before.disk_us) / 1e3);
-      return result;
-    }
-    case sql::Statement::Kind::kSelect:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "the mediator accepts SELECT/EXPLAIN; DDL and DML run at the "
-          "component sources");
-  }
-
-  GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan, PlanQuery(*stmt.select, tr, root));
-
-  // gis.* snapshots change between executions by design, so any plan
-  // touching one must bypass the result cache entirely.
-  bool has_system_scan = false;
-  VisitPlan(plan, [&](const PlanNodePtr& node) {
-    if (node->kind == PlanKind::kVirtualScan) has_system_scan = true;
-  });
-  // A transactional read is pinned to its snapshot: neither served
-  // from nor inserted into the (latest-committed) result cache.
-  const bool use_cache =
-      cache_ != nullptr && !has_system_scan && snapshot_ts == 0 && txn_id == 0;
-
-  // Result cache: the decomposed plan's canonical text identifies the
-  // computation (fragments, strategies, planner options all shape it).
-  const std::string cache_key = use_cache ? plan->Explain() : std::string();
-  if (use_cache) {
-    const uint64_t lookup =
-        tr != nullptr ? tr->Begin("cache.lookup", "lifecycle", root, 0.0) : 0;
-    auto cached = cache_->Lookup(cache_key);
-    if (tr != nullptr) tr->SetNote(lookup, cached ? "hit" : "miss");
-    if (cached) {
-      QueryResult result;
-      result.batch = std::move(cached->batch);
-      // Served from mediator memory: zero simulated latency and —
-      // explicitly, not by default-initialization — zero traffic.
-      result.metrics.elapsed_ms = 0.0;
-      result.metrics.bytes_sent = 0;
-      result.metrics.bytes_received = 0;
-      result.metrics.messages = 0;
-      result.metrics.retries = 0;
-      result.metrics.cache_hit = true;
-      result.metrics.plan_text = cache_key + "(cache hit)\n";
-      metrics_.Add("query.count", 1);
-      metrics_.Observe("query.ms", 0.0);
-      metrics_.Observe("query.bytes", 0.0);
-      if (tr != nullptr) {
-        tr->SetRows(root, static_cast<int64_t>(result.batch.num_rows()));
-        tr->End(root, 0.0);
-      }
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.cache_hit = true;
-      entry.rows = static_cast<int64_t>(result.batch.num_rows());
-      entry.trace_root = static_cast<int64_t>(root);
-      entry.admission_wait_ms = admission_wait_ms;
-      entry.finish_ms = qctx.start_ms;  // served from memory: zero width
-      RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-      return result;
-    }
-  }
-
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
-
-  ExecContext ctx = MakeExecContext(grant);
-  ctx.snapshot_ts = snapshot_ts;
-  ctx.txn_id = txn_id;
-  uint64_t exec_span = 0;
-  if (tr != nullptr) {
-    exec_span = tr->Begin("execute", "lifecycle", root, 0.0);
-    ctx.trace = tr;
-    ctx.trace_parent = exec_span;
-  }
-  Executor executor(ctx);
-  GISQL_ASSIGN_OR_RETURN(ExecOutput out, executor.Execute(plan));
-
-  QueryResult result;
-  result.batch = std::move(out.batch);
-  result.metrics.elapsed_ms = out.elapsed_ms;
-  FillNetDeltas(result.metrics, before, NetCounters::Read(network_));
-  result.metrics.plan_text = plan->Explain();
-  metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", out.elapsed_ms);
-  metrics_.Observe("query.bytes",
-                   static_cast<double>(result.metrics.bytes_received));
-
-  if (tr != nullptr) {
-    tr->SetRows(root, static_cast<int64_t>(result.batch.num_rows()));
-    tr->End(exec_span, out.elapsed_ms);
-  }
-
-  if (use_cache) {
-    if (tr != nullptr) {
-      tr->Begin("cache.insert", "lifecycle", root, out.elapsed_ms);
-    }
-    std::set<std::string> sources;
-    std::set<std::string> tables;
-    VisitPlan(plan, [&](const PlanNodePtr& node) {
-      if (node->kind == PlanKind::kRemoteFragment) {
-        sources.insert(node->fragment_source);
-        if (!node->scan_global_name.empty()) {
-          tables.insert(node->scan_global_name);
-        }
-        for (const auto& alt : node->scan_alternates) {
-          sources.insert(alt.source);
-          if (!alt.global_name.empty()) tables.insert(alt.global_name);
-        }
-      }
-    });
-    cache_->Insert(cache_key, result.batch, result.metrics.elapsed_ms,
-                   std::move(sources), std::move(tables));
-  }
-  if (tr != nullptr) tr->End(root, out.elapsed_ms);
-
-  // The entry is appended only after execution, so a gis.queries scan
-  // never observes the query currently running it (deterministic
-  // snapshots regardless of when mid-plan operators fire).
-  QueryLogEntry entry;
-  entry.sql = sql;
-  entry.elapsed_ms = result.metrics.elapsed_ms;
-  entry.bytes_sent = result.metrics.bytes_sent;
-  entry.bytes_received = result.metrics.bytes_received;
-  entry.messages = result.metrics.messages;
-  entry.retries = result.metrics.retries;
-  entry.rows = static_cast<int64_t>(result.batch.num_rows());
-  entry.trace_root = static_cast<int64_t>(root);
-  entry.admission_wait_ms = admission_wait_ms;
-  entry.finish_ms = qctx.start_ms + result.metrics.elapsed_ms;
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
-  RecordQueryOutcome(std::move(entry), qctx,
-                     grant != nullptr ? grant->used() : 0,
-                     pools_after.hits - pools_before.hits,
-                     pools_after.misses - pools_before.misses,
-                     (pools_after.disk_us - pools_before.disk_us) / 1e3);
-  return result;
-}
-
-Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
-                                          const CursorOptions& opts) {
-  SweepExpiredCursors(governor_.now_ms());
-
-  const int64_t chunk_rows =
-      opts.chunk_rows > 0 ? opts.chunk_rows : options_.cursor_chunk_rows;
-  if (chunk_rows <= 0) {
-    return Status::InvalidArgument("cursor chunk_rows must be positive, got ",
-                                   chunk_rows);
-  }
-  const double lease_ms =
-      opts.lease_ms >= 0.0 ? opts.lease_ms : options_.cursor_lease_ms;
-
-  QueryContext qctx;
-  qctx.tenant = QueryContext::NormalizeTenant(opts.submit.tenant);
-  qctx.priority = opts.submit.priority;
-  qctx.arrival_ms = opts.submit.arrival_ms >= 0 ? opts.submit.arrival_ms
-                                                : governor_.now_ms();
-  qctx.start_ms = qctx.arrival_ms;
-
-  // The open-cursor cap is checked before admission so a refused open
-  // allocates nothing — no cursor, no grant, no admission ticket.
-  if (cursors_.OpenCount() >=
-      static_cast<size_t>(options_.cursor_max_open)) {
-    metrics_.Add("cursor.shed", 1);
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.shed_reason = "cursor_limit";
-    entry.finish_ms = qctx.arrival_ms;
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-    return Status::Overloaded("cursor shed: ", cursors_.OpenCount(),
-                              " cursors already open (limit ",
-                              options_.cursor_max_open, ")");
-  }
-
-  AdmissionDecision decision;
-  const bool governed = options_.admission_control;
-  if (governed) {
-    GISQL_ASSIGN_OR_RETURN(decision, AdmitOrShed(sql, opts.submit));
-    qctx.start_ms = decision.start_ms;
-  }
-
-  // The admission slot covers only the open (which runs the whole plan
-  // when it must spool); fetches happen outside it, so cursor_max_open
-  // — not max_concurrent_queries — bounds concurrently open cursors.
-  auto finish = [&](double elapsed) {
-    if (governed) {
-      governor_.admission().Release(decision.ticket,
-                                    decision.start_ms + elapsed);
-      governor_.AdvanceTo(decision.start_ms + elapsed);
-    }
-  };
-  auto fail = [&](const Status& st) -> Status {
-    finish(0.0);
-    if (st.IsOverloaded()) {
-      // Spooling overflowed the query budget — the same query-level
-      // shed Submit records.
-      governor_.RecordMemoryShed();
-      metrics_.Add("admission.shed", 1);
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.admission_wait_ms = decision.wait_ms;
-      entry.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
-      entry.finish_ms = qctx.start_ms;
-      RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-    }
-    return st;
-  };
-
-  auto stmt_or = sql::ParseStatement(sql);
-  if (!stmt_or.ok()) return fail(stmt_or.status());
-  if (stmt_or->kind != sql::Statement::Kind::kSelect) {
-    return fail(Status::InvalidArgument(
-        "cursors serve SELECT statements; EXPLAIN and DDL/DML go "
-        "through Query()/ExecuteAt()"));
-  }
-  auto plan_or = PlanQuery(*stmt_or->select);
-  if (!plan_or.ok()) return fail(plan_or.status());
-  PlanNodePtr plan = std::move(plan_or).ValueUnsafe();
-  const bool streaming = IsStreamablePlan(plan);
-
-  // Cursors bypass the result cache entirely: a chunked delivery has
-  // nothing to insert (the whole point is never holding the full
-  // result), and serving chunks from a cached batch would dodge the
-  // memory accounting this path exists to enforce.
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
-  MemoryGrant grant = governor_.memory().NewGrant();
-  std::unique_ptr<RowStream> stream;
-  double open_elapsed = 0.0;
-  if (streaming) {
-    auto stream_or = OpenPlanStream(MakeExecContext(nullptr), plan,
-                                    chunk_rows, cursors_.token_counter());
-    if (!stream_or.ok()) return fail(stream_or.status());
-    stream = std::move(stream_or).ValueUnsafe();
-  } else {
-    // Blocking plan: run it to completion now, charged to the query
-    // grant like Submit would, and serve the spool chunk by chunk. The
-    // grant keeps the full charge until the cursor dies — the spool
-    // really is resident.
-    ExecContext ctx = MakeExecContext(&grant);
-    Executor executor(ctx);
-    auto out_or = executor.Execute(plan);
-    if (!out_or.ok()) return fail(out_or.status());
-    open_elapsed = out_or->elapsed_ms;
-    stream = MakeSpoolStream(std::move(out_or->batch), chunk_rows);
-  }
-  finish(open_elapsed);
-  const NetCounters after = NetCounters::Read(network_);
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
-
-  const double opened_at =
-      governed ? decision.start_ms + open_elapsed : governor_.now_ms();
-  CursorManager::Entry& e =
-      cursors_.Create(sql, streaming, chunk_rows, opened_at, lease_ms);
-  e.stream = std::move(stream);
-  e.plan = std::move(plan);
-  e.grant = std::move(grant);
-  // Pin the current snapshot for the cursor's lifetime: the GC
-  // watermark cannot pass it, so version chains its scan could still
-  // reference survive until the cursor finalizes (drain, close, or
-  // lease expiry alike).
-  e.snapshot_pin = txns_.PinSnapshot();
-  e.elapsed_ms = open_elapsed;
-  e.bytes_sent = after.bytes_sent - before.bytes_sent;
-  e.bytes_received = after.bytes_received - before.bytes_received;
-  e.messages = after.messages - before.messages;
-  e.retries = after.retries - before.retries;
-  // Attribution context, carried until FinalizeCursor writes the one
-  // gis.queries entry covering the cursor's whole life.
-  e.tenant = qctx.tenant;
-  e.priority = qctx.priority;
-  e.arrival_ms = qctx.arrival_ms;
-  e.admission_wait_ms = decision.wait_ms;
-  e.page_hits = pools_after.hits - pools_before.hits;
-  e.page_misses = pools_after.misses - pools_before.misses;
-  e.disk_ms = (pools_after.disk_us - pools_before.disk_us) / 1e3;
-  e.mem_peak_bytes = e.grant.used();
-  metrics_.Add("cursor.opened", 1);
-  advisor_->Tick(governor_.now_ms());
-  return e.id;
-}
-
 Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
     uint64_t cursor_id) {
   const double now = governor_.now_ms();
@@ -1497,15 +1356,18 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
                             CursorManager::StateName(e->state));
   }
 
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
-  Result<StreamChunk> chunk_or = e->stream->Next();
+  // Every fetch's traffic — failed attempts included — is the cursor's.
+  Outcome& o = cursor_outcomes_.at(cursor_id);
+  const Traffic before = o.traffic;
+  Result<StreamChunk> chunk_or =
+      Metered(&o.traffic, [&] { return e->stream->Next(); });
   if (!chunk_or.ok()) {
     // A transport error leaves the cursor open: the stream did not
     // advance, so a retried FetchChunk re-requests the same chunk and
     // the source's one-chunk re-serve window absorbs the duplicate.
     // Anything else is fatal to the cursor.
     if (!IsRetryableTransport(chunk_or.status())) {
+      o.error = StatusCodeToString(chunk_or.status().code());
       FinalizeCursor(*e, CursorManager::State::kClosed);
     }
     return chunk_or.status();
@@ -1528,12 +1390,12 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
         EstimateRowBytes(static_cast<int64_t>(chunk.rows.num_rows()), width),
         "a cursor chunk");
     e->grant = std::move(next);
-    e->mem_peak_bytes = std::max(e->mem_peak_bytes, e->grant.used());
+    o.mem_bytes = std::max(o.mem_bytes, e->grant.used());
     if (!charged.ok()) {
       governor_.RecordMemoryShed();
       metrics_.Add("admission.shed", 1);
-      FinalizeCursor(*e, CursorManager::State::kClosed,
-                     ShedReasonName(ShedReason::kMemoryBudget));
+      o.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
+      FinalizeCursor(*e, CursorManager::State::kClosed);
       return charged;
     }
   }
@@ -1541,16 +1403,6 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   e->chunks += 1;
   e->rows += static_cast<int64_t>(chunk.rows.num_rows());
   e->elapsed_ms += chunk.elapsed_ms;
-  const NetCounters after = NetCounters::Read(network_);
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
-  e->bytes_sent += after.bytes_sent - before.bytes_sent;
-  e->bytes_received += after.bytes_received - before.bytes_received;
-  e->messages += after.messages - before.messages;
-  e->retries += after.retries - before.retries;
-  e->page_hits += pools_after.hits - pools_before.hits;
-  e->page_misses += pools_after.misses - pools_before.misses;
-  e->disk_ms += (pools_after.disk_us - pools_before.disk_us) / 1e3;
-
   governor_.AdvanceTo(now + chunk.elapsed_ms);
   // Each successful fetch renews the lease from the advanced clock.
   e->lease_deadline_ms = governor_.now_ms() + e->lease_ms;
@@ -1561,7 +1413,11 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   res.done = chunk.done;
   res.seq = static_cast<uint64_t>(e->chunks - 1);
   res.metrics.elapsed_ms = chunk.elapsed_ms;
-  FillNetDeltas(res.metrics, before, after);
+  res.metrics.bytes_sent = o.traffic.bytes_sent - before.bytes_sent;
+  res.metrics.bytes_received =
+      o.traffic.bytes_received - before.bytes_received;
+  res.metrics.messages = o.traffic.messages - before.messages;
+  res.metrics.retries = o.traffic.retries - before.retries;
   if (chunk.done) FinalizeCursor(*e, CursorManager::State::kDrained);
   return res;
 }
@@ -1586,44 +1442,25 @@ void GlobalSystem::SweepExpiredCursors(double now_ms) {
 }
 
 void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
-                                  CursorManager::State state,
-                                  const char* shed_reason) {
+                                  CursorManager::State state) {
   if (entry.state != CursorManager::State::kOpen) return;
+  auto it = cursor_outcomes_.find(entry.id);
+  Outcome& o = it->second;
   if (entry.stream != nullptr) {
     // Best-effort remote close; its traffic and time belong to the
     // cursor like any fetch's.
-    const NetCounters before = NetCounters::Read(network_);
-    const double close_ms = entry.stream->Close();
-    const NetCounters after = NetCounters::Read(network_);
-    entry.bytes_sent += after.bytes_sent - before.bytes_sent;
-    entry.bytes_received += after.bytes_received - before.bytes_received;
-    entry.messages += after.messages - before.messages;
-    entry.retries += after.retries - before.retries;
+    const double close_ms =
+        Metered(&o.traffic, [&] { return entry.stream->Close(); });
     entry.elapsed_ms += close_ms;
     governor_.AdvanceTo(governor_.now_ms() + close_ms);
   }
   // One gis.queries entry per cursor, written at end of life so it
-  // carries the cursor's whole story (rows served, total traffic).
-  QueryLogEntry log;
-  log.sql = entry.sql;
-  log.elapsed_ms = entry.elapsed_ms;
-  log.bytes_sent = entry.bytes_sent;
-  log.bytes_received = entry.bytes_received;
-  log.messages = entry.messages;
-  log.retries = entry.retries;
-  log.rows = entry.rows;
-  log.shed_reason = shed_reason;
-  log.admission_wait_ms = entry.admission_wait_ms;
-  // End of life on the advanced clock (the close above already moved
-  // it); drained/closed/expired all finish "now".
-  log.finish_ms = governor_.now_ms();
-  QueryContext qctx;
-  qctx.tenant = entry.tenant;
-  qctx.priority = entry.priority;
-  qctx.arrival_ms = entry.arrival_ms;
-  qctx.start_ms = entry.arrival_ms + entry.admission_wait_ms;
-  RecordQueryOutcome(std::move(log), qctx, entry.mem_peak_bytes,
-                     entry.page_hits, entry.page_misses, entry.disk_ms);
+  // carries the cursor's whole story. Drained, closed and expired all
+  // finish "now", on the clock the close above already moved.
+  o.elapsed_ms = entry.elapsed_ms;
+  o.rows = entry.rows;
+  o.finish_ms = governor_.now_ms();
+  Record(o);
   switch (state) {
     case CursorManager::State::kDrained:
       metrics_.Add("cursor.drained", 1);
@@ -1638,7 +1475,8 @@ void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
   metrics_.Add("query.count", 1);
   metrics_.Observe("query.ms", entry.elapsed_ms);
   metrics_.Observe("query.bytes",
-                   static_cast<double>(entry.bytes_received));
+                   static_cast<double>(o.traffic.bytes_received));
+  cursor_outcomes_.erase(it);
   // The snapshot pin releases together with the grant below — an
   // expired lease frees its spool memory and its version-chain hold
   // on the GC watermark in the same step.

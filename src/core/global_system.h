@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -327,18 +328,18 @@ class GlobalSystem : public AdvisorHost {
   /// \name Self-observation
   ///
   /// The mediator watches its own traffic: every RPC attempt feeds the
-  /// per-source health tracker, every executed query lands in the
-  /// bounded query log, and all of it is queryable as the `gis.*`
-  /// system tables (gis.sources, gis.metrics, gis.histograms,
-  /// gis.queries) through the ordinary SQL pipeline — zero network
-  /// cost, so observing never perturbs the experiment.
+  /// per-source health tracker, every statement — executed, shed or
+  /// failed — lands in the bounded query log, and all of it is
+  /// queryable as the `gis.*` system tables (gis.sources, gis.metrics,
+  /// gis.histograms, gis.queries) through the ordinary SQL pipeline —
+  /// zero network cost, so observing never perturbs the experiment.
   /// @{
   SourceHealthTracker& health() { return health_; }
   const SourceHealthTracker& health() const { return health_; }
   const QueryLog& query_log() const { return query_log_; }
 
-  /// \brief Per-tenant attribution: every executed or shed statement
-  /// is charged to exactly one tenant, and the accountant's Totals()
+  /// \brief Per-tenant attribution: every executed, shed or failed
+  /// statement is charged to exactly one tenant, and the accountant's Totals()
   /// row provably equals the sum of the per-tenant rows (gis.tenants
   /// is the SQL view).
   const TenantAccountant& tenants() const { return tenants_; }
@@ -469,28 +470,105 @@ class GlobalSystem : public AdvisorHost {
   /// fields left unset).
   ExecContext MakeExecContext(MemoryGrant* grant);
 
-  /// \brief The post-admission body of Submit: parse through execute,
-  /// charging `grant` and logging with the decided admission wait.
-  /// `qctx` carries the attribution (tenant/priority/arrival/start).
-  /// Non-zero snapshot_ts/txn_id pin execution to a transaction's
-  /// snapshot (and bypass the result cache — snapshots are per-txn).
-  Result<QueryResult> RunStatement(const std::string& sql,
-                                   MemoryGrant* grant,
-                                   const QueryContext& qctx,
-                                   double admission_wait_ms,
-                                   uint64_t snapshot_ts = 0,
-                                   uint64_t txn_id = 0);
+  /// \name Statement pipeline
+  ///
+  /// Every statement runs the same stages: admit → parse → plan →
+  /// cache lookup → execute → deliver → record. Query, Submit,
+  /// QueryInTxn, OpenCursor and Explain are configurations of it.
+  /// @{
 
-  /// \brief The single funnel pairing every query-log append with its
-  /// attribution charge, SLO event, and flight-recorder frame, so the
-  /// four views can never drift apart. The caller fills the entry
-  /// (including finish_ms and shed_reason); tenant/priority are
-  /// stamped here from `qctx`. `mem_bytes` is the query grant's
-  /// booked total; the page-IO deltas come from bracketing the
-  /// source buffer pools around execution.
-  void RecordQueryOutcome(QueryLogEntry entry, const QueryContext& qctx,
-                          int64_t mem_bytes, int64_t page_hits,
-                          int64_t page_misses, double disk_ms);
+  /// What the deliver stage produces.
+  enum class Delivery : uint8_t {
+    kResult,   ///< materialized rows (EXPLAIN [ANALYZE] text for EXPLAIN)
+    kExplain,  ///< the plan's EXPLAIN text; nothing executes or logs
+    kCursor,   ///< a cursor staged behind FetchChunk
+  };
+
+  /// One entry point's configuration of the pipeline.
+  struct Pipeline {
+    Delivery delivery = Delivery::kResult;
+    /// Attribution and arrival; null means closed-loop defaults.
+    const SubmitOptions* submit = nullptr;
+    bool admit = false;          ///< pass the admission gate
+    /// Whether the statement's completion advances the governor clock.
+    bool advance_clock = false;
+    bool tick_advisor = false;   ///< tick the advisor once admitted
+    /// Non-zero pins execution to a transaction's snapshot (and
+    /// bypasses the result cache — snapshots are per-txn).
+    uint64_t snapshot_ts = 0;
+    uint64_t txn_id = 0;
+    int64_t chunk_rows = 0;      ///< kCursor only
+    double lease_ms = 0.0;       ///< kCursor only
+  };
+
+  /// What the pipeline hands back to the entry point.
+  struct Delivered {
+    QueryResult result;       ///< kResult / kExplain
+    uint64_t cursor_id = 0;   ///< kCursor
+  };
+
+  /// Network and buffer-pool counter movement caused by a statement.
+  struct Traffic {
+    int64_t bytes_sent = 0;
+    int64_t bytes_received = 0;
+    int64_t messages = 0;
+    int64_t retries = 0;
+    int64_t page_hits = 0;
+    int64_t page_misses = 0;
+    double disk_ms = 0.0;
+  };
+
+  /// Everything the record stage books for one statement. The stages
+  /// fill it as they run; a cursor's carries on accumulating until the
+  /// cursor's end of life.
+  struct Outcome {
+    const std::string* sql = nullptr;
+    QueryContext qctx;
+    Traffic traffic;
+    double elapsed_ms = 0.0;
+    double admission_wait_ms = 0.0;
+    double finish_ms = 0.0;
+    int64_t rows = 0;
+    int64_t mem_bytes = 0;  ///< booked grant bytes (peak, for cursors)
+    int64_t trace_root = 0;
+    bool cache_hit = false;
+    const char* shed_reason = "";  ///< "" = it ran
+    const char* error = "";        ///< status-code name of a failure
+  };
+
+  /// \brief Runs `sql` through every stage under `p`. Every statement
+  /// that reaches it records exactly one outcome — shed, failed or
+  /// delivered — except plain EXPLAIN (never logged) and a cursor
+  /// (logged when it finalizes).
+  Status RunPipeline(const std::string& sql, const Pipeline& p,
+                     Delivered* out);
+
+  /// \brief Admit stage: stamps the attribution context and applies the
+  /// open-cursor cap and the admission gate. A refusal sets the shed
+  /// reason and returns Overloaded before anything is allocated.
+  Status Admit(const Pipeline& p, Outcome* o, uint64_t* ticket);
+
+  /// \brief Parse → plan → cache lookup → execute → deliver. Never
+  /// records; clears `*record` when the delivery is logged elsewhere
+  /// (plain EXPLAIN, cursors).
+  Status Process(const std::string& sql, const Pipeline& p, Outcome* o,
+                 Delivered* out, bool* record);
+
+  /// \brief Record stage: the one place a statement's outcome becomes a
+  /// gis.queries row, a tenant charge, an SLO event and a
+  /// flight-recorder frame, so the four views can never drift apart.
+  void Record(const Outcome& o);
+
+  /// \brief Runs `stage` and adds the network and buffer-pool counter
+  /// movement it caused to `traffic`. The only reader of those
+  /// counters: execute, cursor fetch and cursor close all go through
+  /// it. Safe as per-statement attribution because the mediator runs
+  /// one statement at a time (the worker pool parallelizes *within* a
+  /// statement, and SourceSequencer keeps pooled page counters
+  /// serial-identical).
+  template <typename Stage>
+  auto Metered(Traffic* traffic, Stage&& stage) -> decltype(stage());
+  /// @}
 
   /// \brief Builds the deterministic `"system"` JSON object embedded
   /// in incident snapshots (sources, admission, memory, buffer pools,
@@ -502,11 +580,11 @@ class GlobalSystem : public AdvisorHost {
   /// deadlock victim path.
   void AbortAtParticipants(TxnInfo& t, const std::string& reason);
 
-  /// \brief The admission gate shared by Submit and OpenCursor. On a
-  /// shed, logs the refusal and returns Overloaded — before anything
-  /// (cursor, grant) is allocated.
-  Result<AdmissionDecision> AdmitOrShed(const std::string& sql,
-                                        const SubmitOptions& submit);
+  /// \brief 2PC phase two: allocates the commit timestamp, retires
+  /// `t`, and delivers COMMIT (with the GC watermark) to every
+  /// participant. Shared by ExecuteAtomically and CommitTransaction; a
+  /// participant it cannot reach is reported as in doubt (Internal).
+  Status CommitAtParticipants(TxnInfo& t);
 
   /// \brief Closes expired-lease cursors (called lazily at the top of
   /// every cursor operation; no background thread).
@@ -520,10 +598,10 @@ class GlobalSystem : public AdvisorHost {
   void ConfigureAdvisor();
 
   /// \brief Ends a cursor's life: closes its stream (best-effort
-  /// remote close), writes its query-log entry, releases its grant.
+  /// remote close), hands its accumulated outcome to the record stage,
+  /// releases its grant.
   void FinalizeCursor(CursorManager::Entry& entry,
-                      CursorManager::State state,
-                      const char* shed_reason = "");
+                      CursorManager::State state);
 
   PlannerOptions options_;
   RetryPolicy retry_policy_ = RetryPolicy::NoRetry();
@@ -546,7 +624,10 @@ class GlobalSystem : public AdvisorHost {
   TenantAccountant tenants_;
   SloEngine slo_;
   FlightRecorder flight_;
-  // Breaker-transition count last seen by RecordQueryOutcome, for the
+  // The outcome of every open cursor, accumulated from open through
+  // each fetch until FinalizeCursor records it.
+  std::map<uint64_t, Outcome> cursor_outcomes_;
+  // Breaker-transition count last seen by Record, for the
   // breaker-open incident trigger (polled per statement, which is
   // deterministic; RPC-time callbacks would race under the pool).
   int64_t seen_breaker_transitions_ = 0;

@@ -2,12 +2,16 @@
 /// \brief Bounded ring buffer of recently executed queries, backing the
 /// `gis.queries` system table.
 ///
-/// GlobalSystem::Query appends one entry per *executed* statement
-/// (SELECT and EXPLAIN ANALYZE, including cache hits; plain EXPLAIN
-/// never executes and is not logged). The buffer keeps the most recent
-/// `capacity` entries; ids are monotonically increasing across the
-/// system's lifetime, so `SELECT MAX(id) FROM gis.queries` counts total
-/// executed queries even after eviction.
+/// The mediator's statement pipeline appends exactly one entry per
+/// statement that reaches it: executed (SELECT and EXPLAIN ANALYZE,
+/// including cache hits), shed (admission, memory budget, cursor
+/// limit) or failed (parse, plan, execute or cursor open — `error`
+/// names the status code). A cursor's one entry is written when it
+/// drains, closes or expires. Plain EXPLAIN never executes and is not
+/// logged. The buffer keeps the most recent `capacity` entries; ids
+/// are monotonically increasing across the system's lifetime, so
+/// `SELECT MAX(id) FROM gis.queries` counts total logged statements
+/// even after eviction.
 
 #pragma once
 
@@ -32,9 +36,14 @@ struct QueryLogEntry {
   int64_t rows = 0;             ///< result rows returned
   int64_t trace_root = 0;       ///< root span id (0 when tracing is off)
   double admission_wait_ms = 0.0;  ///< simulated time spent queued
-  /// Why the governor refused this query ("" = it ran). Shed entries
-  /// carry zero traffic — nothing was executed.
+  /// Why the governor refused this query ("" = it ran). Admission and
+  /// cursor-limit sheds carry zero traffic; a memory-budget abort
+  /// carries what it moved before the budget stopped it.
   std::string shed_reason;
+  /// Status-code name of the failure that ended the statement (e.g.
+  /// "NetworkError"); "" when it succeeded or was shed. Its traffic
+  /// up to the failure is charged like any other statement's.
+  std::string error;
   /// Accountable principal the statement is charged to (never empty;
   /// unnamed callers land on the "default" tenant).
   std::string tenant = "default";
@@ -43,7 +52,7 @@ struct QueryLogEntry {
   /// entries finish at their refusal time.
   double finish_ms = 0.0;
   /// Literal-stripped template hash (sql/fingerprint.h), stamped once
-  /// at the RecordQueryOutcome funnel. Two entries share a fingerprint
+  /// at the pipeline's record stage. Two entries share a fingerprint
   /// iff they are the same statement template with different literals
   /// — the key for hot-template detection in the advisor and in user
   /// queries over gis.queries.

@@ -137,7 +137,7 @@ RowBatch SystemCatalog::SnapshotQueries() const {
                   Value::Double(e.admission_wait_ms),
                   Value::String(e.shed_reason), Value::String(e.tenant),
                   Value::Int(e.priority), Value::Double(e.finish_ms),
-                  Value::String(e.fingerprint)});
+                  Value::String(e.fingerprint), Value::String(e.error)});
   }
   return batch;
 }

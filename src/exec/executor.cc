@@ -77,6 +77,30 @@ void Executor::FinishNodeSpan(const PlanNode& node, uint64_t span, double t0,
   }
 }
 
+std::vector<std::pair<const std::string*, const std::string*>>
+FragmentCandidates(const ExecContext& ctx, const PlanNode& node,
+                   const std::string& table) {
+  std::vector<std::pair<const std::string*, const std::string*>> candidates;
+  candidates.emplace_back(&node.fragment_source, &table);
+  for (const auto& alt : node.scan_alternates) {
+    candidates.emplace_back(&alt.source, &alt.exported_name);
+  }
+  if (ctx.health_aware_routing && ctx.health != nullptr &&
+      candidates.size() > 1) {
+    auto penalty = [&](const std::string* source) {
+      return ctx.health->StateOf(*source) == SourceHealthState::kSuspect ? 1
+                                                                         : 0;
+    };
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](const auto& a, const auto& b) {
+                       const int pa = penalty(a.first), pb = penalty(b.first);
+                       if (pa != pb) return pa < pb;
+                       return pa > 0 && *a.first < *b.first;
+                     });
+  }
+  return candidates;
+}
+
 Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
                                           const FragmentPlan& frag,
                                           double t0, uint64_t self) {
@@ -90,40 +114,11 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
     plain.semijoin_column = -1;
     return ExecFragment(node, plain, t0, self);
   }
-  // Candidate sources: the planned primary, then the alternates of a
-  // replicated view in catalog order. Each candidate gets the full
-  // retry budget; exhausting a candidate on a transport failure moves
-  // to the next replica. All attempts and backoffs charge the same
-  // simulated clock (E11 failover and E15 chaos share this path).
-  struct Candidate {
-    const std::string* source;
-    const std::string* table;
-  };
-  std::vector<Candidate> candidates;
-  candidates.push_back({&node.fragment_source, &frag.table});
-  for (const auto& alt : node.scan_alternates) {
-    candidates.push_back({&alt.source, &alt.exported_name});
-  }
-  // Health-aware routing: a suspect source (sustained failure streak —
-  // likely down) is tried after the healthy replicas instead of first,
-  // saving the detection-timeout burn its attempt would cost. The sort
-  // is stable, so plan order survives while everyone is healthy, and
-  // demoted candidates tie-break on name so the order never depends on
-  // container layout.
-  if (ctx_.health_aware_routing && ctx_.health != nullptr &&
-      candidates.size() > 1) {
-    auto penalty = [&](const Candidate& c) {
-      return ctx_.health->StateOf(*c.source) == SourceHealthState::kSuspect
-                 ? 1
-                 : 0;
-    };
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](const Candidate& a, const Candidate& b) {
-                       const int pa = penalty(a), pb = penalty(b);
-                       if (pa != pb) return pa < pb;
-                       return pa > 0 && *a.source < *b.source;
-                     });
-  }
+  // Each candidate gets the full retry budget; exhausting a candidate
+  // on a transport failure moves to the next replica. All attempts and
+  // backoffs charge the same simulated clock (E11 failover and E15
+  // chaos share this path).
+  const auto candidates = FragmentCandidates(ctx_, node, frag.table);
 
   double spent_ms = 0.0;
   Status last;
@@ -146,30 +141,29 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
                                   ? wire::Opcode::kExecuteFragmentColumnar
                                   : wire::Opcode::kExecuteFragment;
   for (size_t i = 0; i < candidates.size(); ++i) {
+    const std::string& source = *candidates[i].first;
     // An open breaker answers before the wire does: no message, no
     // bytes, no simulated time — the skip is free by construction and
     // the E17 bench asserts it stays that way.
-    if (ctx_.breakers != nullptr &&
-        ctx_.breakers->ShouldSkip(*candidates[i].source)) {
+    if (ctx_.breakers != nullptr && ctx_.breakers->ShouldSkip(source)) {
       last = Status::NetworkError("circuit breaker open for source '",
-                                  *candidates[i].source, "'");
+                                  source, "'");
       if (ctx_.trace != nullptr) {
         const uint64_t sk =
             ctx_.trace->Begin("breaker.skip", "net", self, t0 + spent_ms);
-        ctx_.trace->SetHost(sk, *candidates[i].source);
+        ctx_.trace->SetHost(sk, source);
         ctx_.trace->End(sk, t0 + spent_ms);
       }
-      tried += tried.empty() ? *candidates[i].source
-                             : ", " + *candidates[i].source;
+      tried += tried.empty() ? source : ", " + source;
       if (i + 1 < candidates.size()) {
-        GISQL_LOG(kInfo) << "breaker open for '" << *candidates[i].source
+        GISQL_LOG(kInfo) << "breaker open for '" << source
                          << "'; skipping to replica '"
-                         << *candidates[i + 1].source << "'";
+                         << *candidates[i + 1].first << "'";
       }
       continue;
     }
     FragmentPlan attempt = frag;
-    attempt.table = *candidates[i].table;
+    attempt.table = *candidates[i].second;
     attempt.snapshot_ts = ctx_.snapshot_ts;
     attempt.txn_id = ctx_.txn_id;
     std::vector<uint8_t> request = wire::SerializeFragment(attempt);
@@ -178,14 +172,14 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
       // what the mediator shipped before any network time was spent.
       const uint64_t enc = ctx_.trace->Begin("encode", "net", self,
                                              t0 + spent_ms);
-      ctx_.trace->SetHost(enc, *candidates[i].source);
+      ctx_.trace->SetHost(enc, source);
       ctx_.trace->AddIo(enc, static_cast<int64_t>(request.size()), 0, 0, 0,
                         0);
       ctx_.trace->End(enc, t0 + spent_ms);
     }
     RetryResult call = CallWithRetry(
         *ctx_.net, ctx_.retry_policy, ctx_.mediator_host,
-        *candidates[i].source, static_cast<uint8_t>(opcode), request, nonce,
+        source, static_cast<uint8_t>(opcode), request, nonce,
         TraceSink{ctx_.trace, self, t0 + spent_ms});
     spent_ms += call.elapsed_ms;
     total_sent += call.bytes_sent;
@@ -211,7 +205,7 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
                 "fragment result arity ", cols.num_columns(),
                 " does not match plan arity ",
                 node.output_schema->num_fields(), " from source '",
-                *candidates[i].source, "'");
+                source, "'");
           }
           cols.AdoptSchema(node.output_schema);
           batch = cols.ToRows();
@@ -230,7 +224,7 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
         return Status::ExecutionError(
             "fragment result arity ", batch.schema()->num_fields(),
             " does not match plan arity ", node.output_schema->num_fields(),
-            " from source '", *candidates[i].source, "'");
+            " from source '", source, "'");
       }
       // Page-stats trailer (sources with paged storage append it after
       // the batch payload; absence just leaves the actuals unset).
@@ -261,12 +255,11 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
       record_net_actuals();
       return last;
     }
-    tried += tried.empty() ? *candidates[i].source
-                           : ", " + *candidates[i].source;
+    tried += tried.empty() ? source : ", " + source;
     if (i + 1 < candidates.size()) {
-      GISQL_LOG(kWarn) << "source '" << *candidates[i].source
+      GISQL_LOG(kWarn) << "source '" << source
                        << "' unreachable; failing over to replica '"
-                       << *candidates[i + 1].source << "'";
+                       << *candidates[i + 1].first << "'";
     }
   }
   record_net_actuals();

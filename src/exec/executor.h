@@ -12,6 +12,9 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/retry_policy.h"
 #include "common/thread_pool.h"
@@ -99,6 +102,19 @@ struct ExecContext {
 };
 
 /// \brief A materialized result plus its simulated cost.
+/// \brief Where a remote fragment may run, in try order, as (source,
+/// exported table) pairs: the planned primary, then the alternates of
+/// a replicated view in catalog order. Under health-aware routing a
+/// suspect source (sustained failure streak — likely down) is tried
+/// after the healthy replicas instead of first, saving the
+/// detection-timeout burn its attempt would cost. The sort is stable,
+/// so plan order survives while everyone is healthy, and demoted
+/// candidates tie-break on name so the order never depends on
+/// container layout. The pointers borrow from `node` and `table`.
+std::vector<std::pair<const std::string*, const std::string*>>
+FragmentCandidates(const ExecContext& ctx, const PlanNode& node,
+                   const std::string& table);
+
 struct ExecOutput {
   RowBatch batch;
   double elapsed_ms = 0.0;

@@ -113,48 +113,25 @@ class FragmentStream : public RowStream {
     if (frag.semijoin_column >= 0 && frag.semijoin_values.empty()) {
       frag.semijoin_column = -1;  // decomposer marker without keys
     }
-    struct Candidate {
-      const std::string* source;
-      const std::string* table;
-    };
-    std::vector<Candidate> candidates;
-    candidates.push_back({&node_->fragment_source, &frag.table});
-    for (const auto& alt : node_->scan_alternates) {
-      candidates.push_back({&alt.source, &alt.exported_name});
-    }
-    if (ctx_.health_aware_routing && ctx_.health != nullptr &&
-        candidates.size() > 1) {
-      auto penalty = [&](const Candidate& c) {
-        return ctx_.health->StateOf(*c.source) == SourceHealthState::kSuspect
-                   ? 1
-                   : 0;
-      };
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](const Candidate& a, const Candidate& b) {
-                         const int pa = penalty(a), pb = penalty(b);
-                         if (pa != pb) return pa < pb;
-                         return pa > 0 && *a.source < *b.source;
-                       });
-    }
-
     Status last;
-    for (const Candidate& candidate : candidates) {
+    for (const auto& [source, table] :
+         FragmentCandidates(ctx_, *node_, frag.table)) {
       if (ctx_.breakers != nullptr &&
-          ctx_.breakers->ShouldSkip(*candidate.source)) {
+          ctx_.breakers->ShouldSkip(*source)) {
         last = Status::NetworkError("circuit breaker open for source '",
-                                    *candidate.source, "'");
+                                    *source, "'");
         continue;
       }
       wire::OpenCursorRequest req;
       req.token = token_;
       req.chunk_rows = chunk_rows_;
       req.fragment = frag;
-      req.fragment.table = *candidate.table;
+      req.fragment.table = *table;
       ByteWriter writer;
       wire::WriteOpenCursorRequest(&writer, req);
       RetryResult call = CallWithRetry(
           *ctx_.net, ctx_.retry_policy, ctx_.mediator_host,
-          *candidate.source,
+          *source,
           static_cast<uint8_t>(wire::Opcode::kOpenCursor), writer.Release(),
           HashString(frag.table) ^ token_);
       Account(call, chunk);
@@ -162,7 +139,7 @@ class FragmentStream : public RowStream {
         ByteReader reader(call.payload);
         GISQL_ASSIGN_OR_RETURN(wire::OpenCursorResponse resp,
                                wire::ReadOpenCursorResponse(&reader));
-        source_ = *candidate.source;
+        source_ = *source;
         cursor_id_ = resp.cursor_id;
         opened_ = true;
         return Status::OK();

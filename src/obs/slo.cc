@@ -35,7 +35,7 @@ void SloEngine::Configure(double fast_window_ms, double slow_window_ms,
 }
 
 std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
-                                        double sojourn_ms, bool shed) {
+                                        double sojourn_ms, bool failed) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SloAlert> raised;
   // The mediator's simulated clock is monotone per statement stream,
@@ -45,7 +45,7 @@ std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
   last_event_ms_ = now;
   for (auto& tracked : tracked_) {
     if (tracked.objective.priority != priority) continue;
-    bool good = !shed && sojourn_ms <= tracked.objective.target_ms;
+    bool good = !failed && sojourn_ms <= tracked.objective.target_ms;
     tracked.events.push_back({now, good});
     while (!tracked.events.empty() &&
            tracked.events.front().at_ms < now - slow_window_ms_) {

@@ -86,13 +86,13 @@ class SloEngine {
   void Configure(double fast_window_ms, double slow_window_ms,
                  double burn_alert_threshold);
 
-  /// \brief Feeds one completed-or-shed statement. `finish_ms` is the
-  /// simulated completion instant; `sojourn_ms` is wait + execution;
-  /// shed events are never good. Re-evaluates burn rates and latches
+  /// \brief Feeds one completed, shed or failed statement. `finish_ms`
+  /// is the simulated completion instant; `sojourn_ms` is wait +
+  /// execution; shed and failed events (`failed`) are never good. Re-evaluates burn rates and latches
   /// rising-edge alerts at exactly `finish_ms`; the alerts this event
   /// raised are returned so the caller can trigger incident capture.
   std::vector<SloAlert> Record(int priority, double finish_ms,
-                               double sojourn_ms, bool shed);
+                               double sojourn_ms, bool failed);
 
   /// \brief Current evaluation of every objective, in declaration
   /// order (deterministic).

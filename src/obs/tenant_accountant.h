@@ -41,8 +41,9 @@ inline constexpr const char* kOverflowTenant = "~other";
 /// All values are simulation-derived and deterministic.
 struct TenantUsage {
   std::string tenant;
-  int64_t queries = 0;      ///< executed statements (incl. cache hits)
-  int64_t sheds = 0;        ///< refused by the governor (zero traffic)
+  int64_t queries = 0;      ///< statements that ran (incl. cache hits
+                            ///< and failures)
+  int64_t sheds = 0;        ///< refused or memory-aborted by the governor
   int64_t cache_hits = 0;
   int64_t rows = 0;         ///< result rows returned
   double elapsed_ms = 0.0;  ///< simulated execution time
@@ -59,10 +60,10 @@ struct TenantUsage {
   double disk_ms = 0.0;
 };
 
-/// \brief One statement's attribution delta (the per-query counter
-/// deltas RunStatement/FinalizeCursor already compute).
+/// \brief One statement's attribution delta (the counter deltas the
+/// mediator's statement pipeline records).
 struct TenantCharge {
-  bool shed = false;  ///< refused: zero traffic, counted as a shed
+  bool shed = false;  ///< refused or memory-aborted, counted as a shed
   bool cache_hit = false;
   int64_t rows = 0;
   double elapsed_ms = 0.0;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,8 +27,17 @@ struct FaultCase {
   wire::Opcode step;
   FaultKind kind;
   int count;        ///< injection count; large = permanent
-  int participant;  ///< index into the ledgers
+  int participant;  ///< index into kLedgers
 };
+
+constexpr const char* kLedgers[3] = {"ledger_a", "ledger_b", "ledger_c"};
+
+/// Names the case by value. Without it gtest prints the raw bytes of the
+/// struct — the name pointer and padding — so the test ids registered
+/// with CTest would change on every build and run.
+void PrintTo(const FaultCase& fc, std::ostream* os) {
+  *os << fc.name << "@" << kLedgers[fc.participant];
+}
 
 constexpr int kPermanent = 1 << 30;
 
@@ -74,8 +84,6 @@ class TwoPcFaultMatrix : public ::testing::TestWithParam<FaultCase> {
     gis_.network().InstallFaults(3, FaultProfile{});  // targeted only
   }
 
-  static constexpr const char* kLedgers[3] = {"ledger_a", "ledger_b",
-                                              "ledger_c"};
   GlobalSystem gis_;
 };
 
