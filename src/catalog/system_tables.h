@@ -1,38 +1,26 @@
 /// \file system_tables.h
-/// \brief The `gis.*` virtual system tables: names, schemas, and the
-/// provider interface the planner and executor consume.
+/// \brief The `gis.*` virtual system tables: one descriptor per table,
+/// and the snapshot interface the executor consumes.
 ///
-/// The mediator's own state — source health, metrics, histograms, the
-/// query log — is exposed through the global schema itself, as virtual
-/// tables under the reserved `gis.` prefix:
-///
-///   gis.sources     one row per registered component source, with its
-///                   health counters, derived state, and circuit-
-///                   breaker view;
-///   gis.metrics     every *counter* of the mediator and network
-///                   registries (monotone, schedule-independent);
-///   gis.gauges      the point-in-time gauges, quarantined here so
-///                   gis.metrics snapshots stay deterministic under
-///                   pooled execution;
-///   gis.histograms  digests (count/sum/min/max/p50/p95/p99) of every
-///                   registry histogram;
-///   gis.queries     the bounded ring of recently logged statements,
-///                   with admission wait, shed reason and error;
-///   gis.admission   one row: the resource governor's limits and
-///                   admit/shed/budget/breaker counters;
-///   gis.tenants     per-tenant attribution rows whose column sums
-///                   provably equal the global counters;
-///   gis.slo         one row per service-level objective: rolling
-///                   attainment and error-budget burn rates;
-///   gis.incidents   flight-recorder captures — one JSON snapshot per
-///                   deterministic trigger firing.
+/// The mediator's own state — source health, metrics, the query log,
+/// the governor, transactions, tenants, SLOs, incidents, the advisor —
+/// is exposed through the global schema itself, as virtual tables
+/// under the reserved `gis.` prefix. SystemTableDefs() is the single
+/// declaration of every such table: its name, its columns (name, type,
+/// export role) and an optional Prometheus prefix. Everything else is
+/// derived from that list — the table names, the schemas the planner
+/// binds against, the known-table lists in error messages, the labeled
+/// Prometheus series, and the system section of incident JSON. One
+/// table has no other home: `gis.totals`, a single row of mediator-
+/// wide lifecycle counters (transactions, advisor, incidents).
 ///
 /// A query over them runs through the ordinary parse → bind → plan →
 /// optimize → execute pipeline: the logical planner resolves a `gis.`
-/// name against the provider registered in the Catalog and emits a
-/// VirtualTableScan leaf; the executor materializes it by snapshotting
-/// live state at the mediator — zero network cost, so observing the
-/// system never perturbs the experiment being observed.
+/// name against the descriptors and emits a VirtualTableScan leaf; the
+/// executor materializes it through the SystemTableProvider registered
+/// in the Catalog, snapshotting live state at the mediator — zero
+/// network cost, so observing the system never perturbs the experiment
+/// being observed.
 ///
 /// This header lives in catalog/ and depends only on types/; the
 /// concrete provider wiring mediator internals together is
@@ -52,14 +40,38 @@ namespace gisql {
 /// \brief Reserved name prefix of the virtual system tables.
 inline constexpr const char* kSystemTablePrefix = "gis.";
 
+/// \brief How a column appears in the Prometheus exposition of a table
+/// with a prefix. Series are named `<prefix>_<column>` (`_total` added
+/// for counters); label columns label every series of the row; a state
+/// column renders in StateSet form, `<series>{...,<column>="<cell>"} 1`.
+enum class ExportRole : uint8_t { kNone, kLabel, kCounter, kGauge, kState };
+
+struct SystemColumnDef {
+  std::string name;
+  TypeId type;
+  ExportRole role;
+};
+
+/// \brief Declaration of one `gis.*` table.
+struct SystemTableDef {
+  std::string name;         ///< canonical lower-case, e.g. "gis.sources"
+  std::string prom_prefix;  ///< series prefix; empty = not exported
+  bool in_incidents;        ///< rendered into incident JSON snapshots
+  std::vector<SystemColumnDef> columns;
+  SchemaPtr schema;         ///< the columns as non-null, unqualified fields
+};
+
 /// \brief True when `name` (any case) starts with the `gis.` prefix.
 bool IsSystemTableName(const std::string& name);
+
+/// \brief Every built-in system table, sorted by name.
+const std::vector<SystemTableDef>& SystemTableDefs();
 
 /// \brief Canonical (lower-case) names of the built-in system tables.
 std::vector<std::string> SystemTableNames();
 
-/// \brief Schema of one built-in system table; NotFound for names
-/// outside SystemTableNames(). Fields carry no qualifier — the planner
+/// \brief Schema of one built-in system table; NotFound (listing the
+/// declared names) otherwise. Fields carry no qualifier — the planner
 /// qualifies them with the query's alias (or the table name).
 Result<SchemaPtr> SystemTableSchema(const std::string& name);
 
@@ -69,23 +81,14 @@ Result<SchemaPtr> SystemTableSchema(const std::string& name);
 /// Implementations snapshot live state at call time; two scans of the
 /// same table may legitimately differ (which is why query plans
 /// containing a virtual scan bypass the result cache). Snapshot rows
-/// must match TableSchema positionally and be deterministically
+/// must match SystemTableSchema positionally and be deterministically
 /// ordered.
 class SystemTableProvider {
  public:
   virtual ~SystemTableProvider() = default;
 
-  /// \brief True when `name` (canonical lower-case) is served here.
-  virtual bool HasTable(const std::string& name) const = 0;
-
-  /// \brief Schema for `name`; NotFound when absent.
-  virtual Result<SchemaPtr> TableSchema(const std::string& name) const = 0;
-
   /// \brief Materializes the current state of `name`.
   virtual Result<RowBatch> Snapshot(const std::string& name) const = 0;
-
-  /// \brief All served table names (canonical lower-case, sorted).
-  virtual std::vector<std::string> TableNames() const = 0;
 };
 
 }  // namespace gisql

@@ -7,7 +7,6 @@
 #include "common/bytes.h"
 #include "exec/streaming.h"
 #include "net/retry.h"
-#include "obs/json.h"
 #include "planner/cost_model.h"
 #include "planner/decomposer.h"
 #include "planner/logical_planner.h"
@@ -54,7 +53,7 @@ GlobalSystem::GlobalSystem(PlannerOptions options)
       options_.flight_shed_window_ms);
   flight_.set_enabled(options_.flight_recorder);
   flight_.SetSystemSnapshotFn(
-      [this](double now_ms) { return SystemStateJson(now_ms); });
+      [this](double now_ms) { return system_catalog_->IncidentJson(now_ms); });
   ConfigureAdvisor();
   system_catalog_ = std::make_unique<SystemCatalog>(
       &health_, &metrics_, &network_.metrics(), &query_log_, &catalog_,
@@ -457,240 +456,10 @@ void GlobalSystem::AbortAtParticipants(TxnInfo& t,
 std::string GlobalSystem::ExportPrometheus() const {
   // Two registries under distinct prefixes (their metric names overlap
   // only accidentally, but Prometheus forbids re-declaring a name), then
-  // labeled per-source health series.
-  std::string out = metrics_.ExportPrometheus("gisql");
-  out += network_.metrics().ExportPrometheus("gisql_net");
-
-  const auto sources = health_.Snapshot();
-  auto series = [&out, &sources](const std::string& name, const char* type,
-                                 auto value_of) {
-    if (sources.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& s : sources) {
-      out += name + "{source=\"" + s.source + "\"} " + value_of(s) + "\n";
-    }
-  };
-  series("gisql_source_state", "gauge", [](const SourceHealthSnapshot& s) {
-    return std::to_string(static_cast<int>(s.state));
-  });
-  series("gisql_source_requests_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.requests);
-         });
-  series("gisql_source_errors_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.errors);
-         });
-  series("gisql_source_retries_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.retries);
-         });
-  series("gisql_source_ewma_latency_ms", "gauge",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.ewma_ms);
-         });
-  series("gisql_source_p95_latency_ms", "gauge",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.p95_ms);
-         });
-
-  // Resource-governor series (admission.* counters/histogram already
-  // export via the mediator registry above).
-  const GovernorSnapshot g = governor_.Snapshot();
-  auto single = [&out](const std::string& name, const char* type,
-                       const std::string& value) {
-    out += "# TYPE " + name + " " + type + "\n";
-    out += name + " " + value + "\n";
-  };
-  single("gisql_admission_in_flight", "gauge",
-         std::to_string(g.admission.in_flight));
-  single("gisql_admission_shed_queue_full_total", "counter",
-         std::to_string(g.admission.shed_queue_full));
-  single("gisql_admission_shed_deadline_total", "counter",
-         std::to_string(g.admission.shed_deadline));
-  single("gisql_admission_shed_memory_budget_total", "counter",
-         std::to_string(g.shed_memory_budget));
-  single("gisql_memory_peak_bytes", "gauge",
-         std::to_string(g.mem_peak_bytes));
-  single("gisql_breakers_open", "gauge", std::to_string(g.breakers_open));
-  single("gisql_breaker_transitions_total", "counter",
-         std::to_string(g.breaker_transitions));
-
-  // Self-driving advisor series.
-  const AdvisorCounters ac = advisor_->counters();
-  single("gisql_advisor_ticks_total", "counter", std::to_string(ac.ticks));
-  single("gisql_advisor_decisions_total", "counter",
-         std::to_string(ac.decisions));
-  single("gisql_advisor_materializations_total", "counter",
-         std::to_string(ac.materializations));
-  single("gisql_advisor_evictions_total", "counter",
-         std::to_string(ac.evictions));
-  single("gisql_advisor_placements_total", "counter",
-         std::to_string(ac.placements));
-  single("gisql_advisor_tunings_total", "counter",
-         std::to_string(ac.tunings));
-  single("gisql_advisor_failures_total", "counter",
-         std::to_string(ac.failures));
-
-  // Transaction-manager series: active gauge, lifecycle counters, and
-  // the MVCC GC watermark position.
-  const TxnCounters& tc = txns_.counters();
-  single("gisql_txn_active", "gauge", std::to_string(txns_.active_count()));
-  single("gisql_txn_started_total", "counter", std::to_string(tc.started));
-  single("gisql_txn_committed_total", "counter",
-         std::to_string(tc.committed));
-  single("gisql_txn_aborted_total", "counter", std::to_string(tc.aborted));
-  single("gisql_txn_deadlocks_total", "counter",
-         std::to_string(tc.deadlocks));
-  single("gisql_txn_lock_waits_total", "counter",
-         std::to_string(tc.lock_waits));
-  single("gisql_txn_watermark", "gauge", std::to_string(txns_.Watermark()));
-  single("gisql_txn_pinned_snapshots", "gauge",
-         std::to_string(txns_.pinned_snapshots()));
-
-  const auto breakers = governor_.breakers().Snapshot();
-  auto breaker_series = [&out, &breakers](const std::string& name,
-                                          const char* type, auto value_of) {
-    if (breakers.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& b : breakers) {
-      out += name + "{source=\"" + b.source + "\"} " + value_of(b) + "\n";
-    }
-  };
-  breaker_series("gisql_source_breaker_state", "gauge",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(static_cast<int>(b.state));
-                 });
-  breaker_series("gisql_source_breaker_skips_total", "counter",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(b.skips);
-                 });
-  breaker_series("gisql_source_breaker_probes_total", "counter",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(b.probes);
-                 });
-
-  // Per-source buffer-pool series. Sources are snapshotted in name
-  // order so the exposition is deterministic.
-  std::vector<std::pair<std::string, BufferPoolStats>> pools;
-  pools.reserve(sources_.size());
-  for (const auto& s : sources_) {
-    pools.emplace_back(s->name(), s->engine().pool().Snapshot());
-  }
-  std::sort(pools.begin(), pools.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  auto pool_series = [&out, &pools](const std::string& name, const char* type,
-                                    auto value_of) {
-    if (pools.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& [source, p] : pools) {
-      out += name + "{source=\"" + source + "\"} " + value_of(p) + "\n";
-    }
-  };
-  pool_series("gisql_bufferpool_frames", "gauge",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.pool_frames);
-              });
-  pool_series("gisql_bufferpool_frames_used", "gauge",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.frames_used);
-              });
-  pool_series("gisql_bufferpool_hits_total", "counter",
-              [](const BufferPoolStats& p) { return std::to_string(p.hits); });
-  pool_series("gisql_bufferpool_misses_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.misses);
-              });
-  pool_series("gisql_bufferpool_evictions_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.evictions);
-              });
-  pool_series("gisql_bufferpool_disk_reads_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_reads);
-              });
-  pool_series("gisql_bufferpool_disk_writes_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_writes);
-              });
-  pool_series("gisql_bufferpool_disk_ms_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_us / 1e3);
-              });
-
-  // Per-tenant attribution series. Tenant names are user-controlled
-  // strings, so label values go through the escaper.
-  const auto tenant_rows = tenants_.SnapshotTenants();
-  auto tenant_series = [&out, &tenant_rows](const std::string& name,
-                                            const char* type, auto value_of) {
-    if (tenant_rows.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& t : tenant_rows) {
-      out += name + "{tenant=\"" + EscapeLabelValue(t.tenant) + "\"} " +
-             value_of(t) + "\n";
-    }
-  };
-  tenant_series("gisql_tenant_queries_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.queries); });
-  tenant_series("gisql_tenant_sheds_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.sheds); });
-  tenant_series("gisql_tenant_cache_hits_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.cache_hits);
-                });
-  tenant_series("gisql_tenant_rows_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.rows); });
-  tenant_series("gisql_tenant_elapsed_ms_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.elapsed_ms);
-                });
-  tenant_series("gisql_tenant_bytes_sent_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.bytes_sent);
-                });
-  tenant_series("gisql_tenant_bytes_received_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.bytes_received);
-                });
-  tenant_series("gisql_tenant_mem_peak_bytes", "gauge",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.mem_peak_bytes);
-                });
-  tenant_series("gisql_tenant_page_misses_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.page_misses);
-                });
-
-  // SLO series, labeled by objective.
-  const auto slo_rows = slo_.Snapshot();
-  auto slo_series = [&out, &slo_rows](const std::string& name,
-                                      const char* type, auto value_of) {
-    if (slo_rows.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& s : slo_rows) {
-      out += name + "{objective=\"" + EscapeLabelValue(s.name) + "\"} " +
-             value_of(s) + "\n";
-    }
-  };
-  slo_series("gisql_slo_fast_burn", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.fast_burn);
-  });
-  slo_series("gisql_slo_slow_burn", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.slow_burn);
-  });
-  slo_series("gisql_slo_slow_attainment", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.slow_attainment);
-  });
-  slo_series("gisql_slo_alerting", "gauge", [](const SloStatus& s) {
-    return std::string(s.alerting ? "1" : "0");
-  });
-  slo_series("gisql_slo_alerts_total", "counter", [](const SloStatus& s) {
-    return std::to_string(s.alerts);
-  });
-
-  single("gisql_incidents_total", "counter",
-         std::to_string(flight_.incidents_captured()));
-  return out;
+  // the labeled series the gis.* descriptors declare.
+  return metrics_.ExportPrometheus("gisql") +
+         network_.metrics().ExportPrometheus("gisql_net") +
+         system_catalog_->ExportPrometheus();
 }
 
 int64_t GlobalSystem::BufferPoolResidentBytes() const {
@@ -1247,100 +1016,6 @@ void GlobalSystem::Record(const Outcome& o) {
       flight_.OnBreakerOpen(detail, o.finish_ms);
     }
   }
-}
-
-std::string GlobalSystem::SystemStateJson(double now_ms) const {
-  // Deterministic, simulation-derived fields only: every value below
-  // replays byte-identically under the same seed, serial or pooled.
-  std::string out;
-  out.reserve(2048);
-  out += "{\"now_ms\":" + JsonNum(now_ms);
-
-  out += ",\"sources\":[";
-  {
-    auto sources = health_.Snapshot();
-    std::sort(sources.begin(), sources.end(),
-              [](const SourceHealthSnapshot& a, const SourceHealthSnapshot& b) {
-                return a.source < b.source;
-              });
-    bool first = true;
-    for (const auto& s : sources) {
-      if (!first) out += ",";
-      first = false;
-      const BreakerSnapshot b = governor_.breakers().SnapshotOf(s.source);
-      out += "{\"source\":" + JsonStr(s.source);
-      out += ",\"state\":" + JsonStr(SourceHealthStateName(s.state));
-      out += ",\"requests\":" + JsonNum(s.requests);
-      out += ",\"errors\":" + JsonNum(s.errors);
-      out += ",\"retries\":" + JsonNum(s.retries);
-      out += ",\"breaker\":" + JsonStr(BreakerStateName(b.state));
-      out += "}";
-    }
-  }
-  out += "]";
-
-  const GovernorSnapshot g = governor_.Snapshot();
-  out += ",\"admission\":{";
-  out += "\"in_flight\":" + JsonNum(static_cast<int64_t>(g.admission.in_flight));
-  out += ",\"admitted\":" + JsonNum(g.admission.admitted);
-  out += ",\"queued\":" + JsonNum(g.admission.queued);
-  out += ",\"shed_queue_full\":" + JsonNum(g.admission.shed_queue_full);
-  out += ",\"shed_deadline\":" + JsonNum(g.admission.shed_deadline);
-  out += ",\"shed_memory_budget\":" + JsonNum(g.shed_memory_budget);
-  out += ",\"mem_peak_bytes\":" + JsonNum(g.mem_peak_bytes);
-  out += ",\"breakers_open\":" + JsonNum(static_cast<int64_t>(g.breakers_open));
-  out += "}";
-
-  out += ",\"buffer_pools\":[";
-  {
-    std::vector<std::pair<std::string, BufferPoolStats>> pools;
-    pools.reserve(sources_.size());
-    for (const auto& s : sources_) {
-      pools.emplace_back(s->name(), s->engine().pool().Snapshot());
-    }
-    std::sort(pools.begin(), pools.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    bool first = true;
-    for (const auto& [name, p] : pools) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"source\":" + JsonStr(name);
-      out += ",\"frames_used\":" + JsonNum(static_cast<int64_t>(p.frames_used));
-      out += ",\"hits\":" + JsonNum(p.hits);
-      out += ",\"misses\":" + JsonNum(p.misses);
-      out += ",\"evictions\":" + JsonNum(p.evictions);
-      out += "}";
-    }
-  }
-  out += "]";
-
-  out += ",\"transactions\":{";
-  const TxnCounters& tc = txns_.counters();
-  out += "\"active\":" + JsonNum(static_cast<int64_t>(txns_.active_count()));
-  out += ",\"started\":" + JsonNum(tc.started);
-  out += ",\"committed\":" + JsonNum(tc.committed);
-  out += ",\"aborted\":" + JsonNum(tc.aborted);
-  out += ",\"deadlocks\":" + JsonNum(tc.deadlocks);
-  out += "}";
-
-  out += ",\"slo\":[";
-  {
-    bool first = true;
-    for (const auto& s : slo_.Snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"objective\":" + JsonStr(s.name);
-      out += ",\"slow_total\":" + JsonNum(s.slow_total);
-      out += ",\"slow_good\":" + JsonNum(s.slow_good);
-      out += ",\"fast_burn\":" + JsonNum(s.fast_burn);
-      out += ",\"slow_burn\":" + JsonNum(s.slow_burn);
-      out += ",\"alerting\":";
-      out += s.alerting ? "true" : "false";
-      out += "}";
-    }
-  }
-  out += "]}";
-  return out;
 }
 
 Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(

@@ -357,8 +357,8 @@ class GlobalSystem : public AdvisorHost {
   const FlightRecorder& flight_recorder() const { return flight_; }
 
   /// \brief Prometheus text exposition of the whole system: the
-  /// mediator registry, the network registry, and labeled per-source
-  /// health series (gisql_source_state/requests/errors/...).
+  /// mediator registry, the network registry, and the labeled series
+  /// declared by the gis.* descriptors (see catalog/system_tables.h).
   std::string ExportPrometheus() const;
 
   /// \brief Bytes of buffer-pool frames currently charged against the
@@ -569,11 +569,6 @@ class GlobalSystem : public AdvisorHost {
   template <typename Stage>
   auto Metered(Traffic* traffic, Stage&& stage) -> decltype(stage());
   /// @}
-
-  /// \brief Builds the deterministic `"system"` JSON object embedded
-  /// in incident snapshots (sources, admission, memory, buffer pools,
-  /// transactions, SLO state — simulation-derived fields only).
-  std::string SystemStateJson(double now_ms) const;
 
   /// \brief Delivers kTxnAbort to every participant of `t` (best
   /// effort) and marks it aborted. Shared by AbortTransaction and the

@@ -1,10 +1,13 @@
 #include "core/system_catalog.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace gisql {
 
@@ -45,38 +48,113 @@ void AppendHistogramRows(const std::string& registry,
   }
 }
 
+/// A Prometheus sample: integers exactly, doubles with %.17g (round-
+/// trippable, so the sample equals its gis.* cell), booleans as 0/1.
+std::string SampleText(const Value& v) {
+  switch (v.type()) {
+    case TypeId::kBool: return v.AsBool() ? "1" : "0";
+    case TypeId::kInt64: return JsonNum(v.AsInt());
+    default: return JsonNum(v.AsDouble());
+  }
+}
+
+std::string JsonValue(const Value& v) {
+  switch (v.type()) {
+    case TypeId::kBool: return v.AsBool() ? "true" : "false";
+    case TypeId::kString: return JsonStr(v.AsString());
+    default: return SampleText(v);
+  }
+}
+
+void AppendLabel(std::string* labels, const std::string& name,
+                 const std::string& value) {
+  if (!labels->empty()) *labels += ",";
+  *labels += name + "=\"" + EscapeLabelValue(value) + "\"";
+}
+
 }  // namespace
 
-bool SystemCatalog::HasTable(const std::string& name) const {
-  const auto names = SystemTableNames();
-  return std::find(names.begin(), names.end(), ToLower(name)) != names.end();
-}
-
-Result<SchemaPtr> SystemCatalog::TableSchema(const std::string& name) const {
-  return SystemTableSchema(name);
-}
-
-std::vector<std::string> SystemCatalog::TableNames() const {
-  return SystemTableNames();
-}
-
 Result<RowBatch> SystemCatalog::Snapshot(const std::string& name) const {
-  const std::string lower = ToLower(name);
-  if (lower == "gis.sources") return SnapshotSources();
-  if (lower == "gis.metrics") return SnapshotMetrics();
-  if (lower == "gis.gauges") return SnapshotGauges();
-  if (lower == "gis.histograms") return SnapshotHistograms();
-  if (lower == "gis.queries") return SnapshotQueries();
-  if (lower == "gis.admission") return SnapshotAdmission();
-  if (lower == "gis.cursors") return SnapshotCursors();
-  if (lower == "gis.storage") return SnapshotStorage();
-  if (lower == "gis.transactions") return SnapshotTransactions();
-  if (lower == "gis.tenants") return SnapshotTenants();
-  if (lower == "gis.slo") return SnapshotSlo();
-  if (lower == "gis.incidents") return SnapshotIncidents();
-  if (lower == "gis.advisor") return SnapshotAdvisor();
-  const auto schema = SystemTableSchema(name);
-  return schema.status();  // NotFound with the known-table list
+  using SnapshotFn = RowBatch (SystemCatalog::*)() const;
+  static const std::map<std::string, SnapshotFn> kSnapshots = {
+      {"gis.admission", &SystemCatalog::SnapshotAdmission},
+      {"gis.advisor", &SystemCatalog::SnapshotAdvisor},
+      {"gis.cursors", &SystemCatalog::SnapshotCursors},
+      {"gis.gauges", &SystemCatalog::SnapshotGauges},
+      {"gis.histograms", &SystemCatalog::SnapshotHistograms},
+      {"gis.incidents", &SystemCatalog::SnapshotIncidents},
+      {"gis.metrics", &SystemCatalog::SnapshotMetrics},
+      {"gis.queries", &SystemCatalog::SnapshotQueries},
+      {"gis.slo", &SystemCatalog::SnapshotSlo},
+      {"gis.sources", &SystemCatalog::SnapshotSources},
+      {"gis.storage", &SystemCatalog::SnapshotStorage},
+      {"gis.tenants", &SystemCatalog::SnapshotTenants},
+      {"gis.totals", &SystemCatalog::SnapshotTotals},
+      {"gis.transactions", &SystemCatalog::SnapshotTransactions},
+  };
+  const auto it = kSnapshots.find(ToLower(name));
+  if (it != kSnapshots.end()) return (this->*it->second)();
+  Status declared = SystemTableSchema(name).status();
+  if (declared.ok()) return Status::Internal("'", name, "' has no snapshot");
+  return declared;  // NotFound with the declared names
+}
+
+std::string SystemCatalog::ExportPrometheus() const {
+  std::string out;
+  for (const SystemTableDef& def : SystemTableDefs()) {
+    if (def.prom_prefix.empty()) continue;
+    const RowBatch batch = Snapshot(def.name).ValueUnsafe();
+    const std::vector<Row>& rows = batch.rows();
+    if (rows.empty()) continue;  // no samples, so no # TYPE lines either
+    // Each row's label block, from its label columns in declared order.
+    std::vector<std::string> labels(rows.size());
+    for (size_t c = 0; c < def.columns.size(); ++c) {
+      if (def.columns[c].role != ExportRole::kLabel) continue;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        AppendLabel(&labels[r], def.columns[c].name, rows[r][c].AsString());
+      }
+    }
+    for (size_t c = 0; c < def.columns.size(); ++c) {
+      const SystemColumnDef& col = def.columns[c];
+      if (col.role == ExportRole::kNone || col.role == ExportRole::kLabel) {
+        continue;
+      }
+      const bool counter = col.role == ExportRole::kCounter;
+      const bool state = col.role == ExportRole::kState;
+      const std::string series =
+          def.prom_prefix + "_" + col.name + (counter ? "_total" : "");
+      out += "# TYPE " + series + (counter ? " counter\n" : " gauge\n");
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const Value& v = rows[r][c];
+        std::string label = labels[r];
+        if (state) AppendLabel(&label, col.name, v.AsString());
+        out += series + (label.empty() ? "" : "{" + label + "}") + " " +
+               (state ? "1" : SampleText(v)) + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+std::string SystemCatalog::IncidentJson(double now_ms) const {
+  std::string out = "{\"now_ms\":" + JsonNum(now_ms);
+  for (const SystemTableDef& def : SystemTableDefs()) {
+    if (!def.in_incidents) continue;
+    const RowBatch batch = Snapshot(def.name).ValueUnsafe();
+    out += "," + JsonStr(def.name.substr(std::strlen(kSystemTablePrefix))) +
+           ":[";
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      out += r == 0 ? "{" : ",{";
+      for (size_t c = 0; c < def.columns.size(); ++c) {
+        if (c > 0) out += ",";
+        out += JsonStr(def.columns[c].name) + ":" +
+               JsonValue(batch.rows()[r][c]);
+      }
+      out += "}";
+    }
+    out += "]";
+  }
+  return out + "}";
 }
 
 RowBatch SystemCatalog::SnapshotSources() const {
@@ -88,9 +166,7 @@ RowBatch SystemCatalog::SnapshotSources() const {
   for (const auto& snap : health_->Snapshot()) names.insert(snap.source);
   for (const auto& n : names) {
     const SourceHealthSnapshot s = health_->SnapshotOf(n);
-    const BreakerSnapshot b = governor_ != nullptr
-                                  ? governor_->breakers().SnapshotOf(n)
-                                  : BreakerSnapshot{};
+    const BreakerSnapshot b = governor_->breakers().SnapshotOf(n);
     batch.Append({Value::String(n),
                   Value::String(SourceHealthStateName(s.state)),
                   Value::Int(s.requests), Value::Int(s.errors),
@@ -144,8 +220,7 @@ RowBatch SystemCatalog::SnapshotQueries() const {
 
 RowBatch SystemCatalog::SnapshotAdmission() const {
   RowBatch batch(SystemTableSchema("gis.admission").ValueUnsafe());
-  const GovernorSnapshot g =
-      governor_ != nullptr ? governor_->Snapshot() : GovernorSnapshot{};
+  const GovernorSnapshot g = governor_->Snapshot();
   batch.Append({Value::Int(g.admission_config.max_concurrent),
                 Value::Int(g.admission_config.queue_limit),
                 Value::Double(g.admission_config.max_wait_ms),
@@ -165,15 +240,11 @@ RowBatch SystemCatalog::SnapshotAdmission() const {
 }
 
 RowBatch SystemCatalog::SnapshotCursors() const {
-  if (cursors_ == nullptr) {
-    return RowBatch(SystemTableSchema("gis.cursors").ValueUnsafe());
-  }
   return cursors_->Snapshot();
 }
 
 RowBatch SystemCatalog::SnapshotStorage() const {
   RowBatch batch(SystemTableSchema("gis.storage").ValueUnsafe());
-  if (sources_ == nullptr) return batch;
   // One row per source's buffer pool, sorted by source name.
   std::vector<const ComponentSource*> ordered;
   ordered.reserve(sources_->size());
@@ -205,7 +276,6 @@ RowBatch SystemCatalog::SnapshotStorage() const {
 
 RowBatch SystemCatalog::SnapshotTransactions() const {
   RowBatch batch(SystemTableSchema("gis.transactions").ValueUnsafe());
-  if (txns_ == nullptr) return batch;
   // Active plus the bounded finished ring, ascending by id — the
   // manager's Snapshot order is already deterministic.
   for (const auto& t : txns_->Snapshot()) {
@@ -227,7 +297,6 @@ RowBatch SystemCatalog::SnapshotTransactions() const {
 
 RowBatch SystemCatalog::SnapshotTenants() const {
   RowBatch batch(SystemTableSchema("gis.tenants").ValueUnsafe());
-  if (tenants_ == nullptr) return batch;
   for (const auto& t : tenants_->SnapshotTenants()) {
     batch.Append({Value::String(t.tenant), Value::Int(t.queries),
                   Value::Int(t.sheds), Value::Int(t.cache_hits),
@@ -243,7 +312,6 @@ RowBatch SystemCatalog::SnapshotTenants() const {
 
 RowBatch SystemCatalog::SnapshotSlo() const {
   RowBatch batch(SystemTableSchema("gis.slo").ValueUnsafe());
-  if (slo_ == nullptr) return batch;
   for (const auto& s : slo_->Snapshot()) {
     batch.Append({Value::String(s.name), Value::Int(s.priority),
                   Value::Double(s.target_ms), Value::Double(s.goal),
@@ -260,7 +328,6 @@ RowBatch SystemCatalog::SnapshotSlo() const {
 
 RowBatch SystemCatalog::SnapshotIncidents() const {
   RowBatch batch(SystemTableSchema("gis.incidents").ValueUnsafe());
-  if (flight_ == nullptr) return batch;
   for (const auto& i : flight_->Incidents()) {
     batch.Append({Value::Int(i.id), Value::Double(i.at_ms),
                   Value::String(i.trigger), Value::String(i.detail),
@@ -269,9 +336,26 @@ RowBatch SystemCatalog::SnapshotIncidents() const {
   return batch;
 }
 
+RowBatch SystemCatalog::SnapshotTotals() const {
+  RowBatch batch(SystemTableSchema("gis.totals").ValueUnsafe());
+  const TxnCounters& tc = txns_->counters();
+  const AdvisorCounters ac = advisor_->counters();
+  batch.Append({Value::Int(static_cast<int64_t>(txns_->active_count())),
+                Value::Int(tc.started), Value::Int(tc.committed),
+                Value::Int(tc.aborted), Value::Int(tc.deadlocks),
+                Value::Int(tc.lock_waits),
+                Value::Int(static_cast<int64_t>(txns_->Watermark())),
+                Value::Int(static_cast<int64_t>(txns_->pinned_snapshots())),
+                Value::Int(ac.ticks), Value::Int(ac.decisions),
+                Value::Int(ac.materializations), Value::Int(ac.evictions),
+                Value::Int(ac.placements), Value::Int(ac.tunings),
+                Value::Int(ac.failures),
+                Value::Int(flight_->incidents_captured())});
+  return batch;
+}
+
 RowBatch SystemCatalog::SnapshotAdvisor() const {
   RowBatch batch(SystemTableSchema("gis.advisor").ValueUnsafe());
-  if (advisor_ == nullptr) return batch;
   for (const auto& d : advisor_->Decisions()) {
     batch.Append({Value::Int(d.id), Value::Double(d.at_ms),
                   Value::String(d.kind), Value::String(d.target),

@@ -1,7 +1,7 @@
 /// \file system_catalog.h
-/// \brief The mediator's concrete SystemTableProvider: snapshots the
-/// health tracker, both metrics registries, the query log, and the
-/// resource governor into `gis.*` row batches.
+/// \brief The mediator's concrete SystemTableProvider: snapshots live
+/// mediator state into `gis.*` row batches, and renders those rows as
+/// the Prometheus exposition and the incident-JSON system section.
 
 #pragma once
 
@@ -37,13 +37,11 @@ class SystemCatalog : public SystemTableProvider {
                 const MetricsRegistry* network_metrics,
                 const QueryLog* query_log, const Catalog* catalog,
                 const ResourceGovernor* governor,
-                const CursorManager* cursors = nullptr,
-                const std::vector<ComponentSourcePtr>* sources = nullptr,
-                const TransactionManager* txns = nullptr,
-                const TenantAccountant* tenants = nullptr,
-                const SloEngine* slo = nullptr,
-                const FlightRecorder* flight = nullptr,
-                const Advisor* advisor = nullptr)
+                const CursorManager* cursors,
+                const std::vector<ComponentSourcePtr>* sources,
+                const TransactionManager* txns,
+                const TenantAccountant* tenants, const SloEngine* slo,
+                const FlightRecorder* flight, const Advisor* advisor)
       : health_(health),
         mediator_metrics_(mediator_metrics),
         network_metrics_(network_metrics),
@@ -58,10 +56,17 @@ class SystemCatalog : public SystemTableProvider {
         flight_(flight),
         advisor_(advisor) {}
 
-  bool HasTable(const std::string& name) const override;
-  Result<SchemaPtr> TableSchema(const std::string& name) const override;
   Result<RowBatch> Snapshot(const std::string& name) const override;
-  std::vector<std::string> TableNames() const override;
+
+  /// \brief Prometheus text of every table declaring a prefix, derived
+  /// from its descriptor by the rules on ExportRole; every label value
+  /// is escaped and every sample printed with %.17g.
+  std::string ExportPrometheus() const;
+
+  /// \brief The `"system"` object of an incident: `now_ms` plus, per
+  /// table flagged in_incidents, its rows as an array of JSON objects
+  /// keyed by the table name without `gis.` (deterministic fields only).
+  std::string IncidentJson(double now_ms) const;
 
  private:
   RowBatch SnapshotSources() const;
@@ -77,6 +82,7 @@ class SystemCatalog : public SystemTableProvider {
   RowBatch SnapshotSlo() const;
   RowBatch SnapshotIncidents() const;
   RowBatch SnapshotAdvisor() const;
+  RowBatch SnapshotTotals() const;
 
   const SourceHealthTracker* health_;
   const MetricsRegistry* mediator_metrics_;

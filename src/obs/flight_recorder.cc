@@ -142,8 +142,7 @@ std::vector<IncidentRecord> FlightRecorder::Incidents() const {
 }
 
 int64_t FlightRecorder::incidents_captured() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_incident_id_ - 1;
+  return next_incident_id_.load() - 1;
 }
 
 void FlightRecorder::Reset() {

@@ -8,10 +8,10 @@
 /// the interesting queries have aged out of dashboards. The flight
 /// recorder keeps a small ring of per-query frames at all times and,
 /// when a trigger fires, serializes the ring together with a
-/// system-state snapshot (sources, admission, buffer pools, active
-/// transactions, SLO state — supplied by a callback so this layer
-/// stays free of core dependencies) into an IncidentRecord served by
-/// the `gis.incidents` virtual table.
+/// system-state snapshot (the rows of the `gis.*` tables flagged for
+/// incidents — supplied by a callback so this layer stays free of core
+/// dependencies) into an IncidentRecord served by the `gis.incidents`
+/// virtual table.
 ///
 /// Triggers are pure functions of simulated time and deterministic
 /// counters, so the same seed produces the same incidents with the
@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -68,8 +69,9 @@ class FlightRecorder {
 
   /// Produces the `"system"` JSON object for an incident at `now_ms`.
   /// Invoked with the recorder lock held: it must not call back into
-  /// this recorder (everything else — catalog, governor, SLO engine —
-  /// is fair game, they carry their own locks).
+  /// this recorder, except the lock-free incidents_captured()
+  /// (everything else — catalog, governor, SLO engine — is fair game,
+  /// they carry their own locks).
   using SystemSnapshotFn = std::function<std::string(double now_ms)>;
 
   void Configure(size_t ring, size_t max_incidents, double cooldown_ms,
@@ -89,7 +91,9 @@ class FlightRecorder {
 
   std::vector<QueryFrame> Frames() const;
   std::vector<IncidentRecord> Incidents() const;
-  int64_t incidents_captured() const;  ///< including any that aged out
+  /// Including any that aged out. Lock-free, so the system snapshot
+  /// (gis.totals) can read it while an incident is being captured.
+  int64_t incidents_captured() const;
 
   void Reset();
 
@@ -110,7 +114,7 @@ class FlightRecorder {
   std::deque<QueryFrame> frames_;
   std::deque<double> shed_times_;
   std::vector<IncidentRecord> incidents_;
-  int64_t next_incident_id_ = 1;
+  std::atomic<int64_t> next_incident_id_{1};  // written under mu_
   // Last capture time per trigger kind, for the cooldown.
   double last_slo_ms_ = -1.0e18;
   double last_breaker_ms_ = -1.0e18;

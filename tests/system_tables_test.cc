@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -170,9 +172,13 @@ TEST_F(SystemTablesTest, QueriesTableRecordsHistory) {
 TEST_F(SystemTablesTest, UnknownSystemTableIsBindError) {
   auto result = gis_.Query("SELECT * FROM gis.nonsense");
   ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("gis.sources"),
-            std::string::npos)
-      << result.status().ToString();
+  EXPECT_TRUE(result.status().IsBindError()) << result.status().ToString();
+  // The known-table list comes from the descriptors, so it names every
+  // declared table.
+  for (const std::string& name : SystemTableNames()) {
+    EXPECT_NE(result.status().message().find(name), std::string::npos)
+        << name << " missing from: " << result.status().ToString();
+  }
 }
 
 TEST_F(SystemTablesTest, JoinSystemTableWithRemoteTable) {
@@ -238,7 +244,9 @@ TEST(SystemTablesDeterminismTest, SerialAndPooledResultsAreIdentical) {
           // snapshot must match byte for byte — no exclusions.
           "SELECT registry, name, kind, value FROM gis.metrics "
           "ORDER BY registry, name",
-          "SELECT * FROM gis.admission"}) {
+          "SELECT * FROM gis.admission",
+          "SELECT * FROM gis.storage",
+          "SELECT * FROM gis.totals"}) {
       auto r = gis->Query(q);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       if (r.ok()) out += r->batch.ToString(1 << 20);
@@ -385,10 +393,278 @@ TEST_F(SystemTablesTest, PrometheusExportValidatesAndCoversRegistries) {
       << text.substr(0, 500);
   EXPECT_NE(text.find("# TYPE gisql_net_net_rpc_ms histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("gisql_source_state{source=\"hq\"} 0"),
-            std::string::npos);
+  EXPECT_NE(
+      text.find("gisql_source_state{source=\"hq\",state=\"healthy\"} 1"),
+      std::string::npos);
   EXPECT_NE(text.find("gisql_source_requests_total{source=\"branch\"}"),
             std::string::npos);
+}
+
+TEST(SystemTablesPrometheusTest, HostileSourceNameIsEscaped) {
+  GlobalSystem gis;
+  Build(&gis);
+  // CreateSource accepts any name; the exposition must stay valid.
+  const std::string name = "we\"ird\\src";
+  auto weird = gis.CreateSource(name, SourceDialect::kRelational);
+  ASSERT_TRUE(weird.ok()) << weird.status().ToString();
+  ASSERT_TRUE((*weird)->ExecuteLocalSql("CREATE TABLE widgets (w bigint)")
+                  .ok());
+  ASSERT_TRUE(gis.ImportSource(name).ok());
+  ASSERT_TRUE(gis.Query("SELECT COUNT(*) FROM widgets").ok());
+  const std::string text = gis.ExportPrometheus();
+  ValidatePrometheus(text);
+  const std::string label = "{source=\"we\\\"ird\\\\src\"}";
+  EXPECT_NE(text.find("gisql_source_requests_total" + label),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("gisql_source_breaker_skips_total" + label),
+            std::string::npos);
+  EXPECT_NE(text.find("gisql_bufferpool_hits_total" + label),
+            std::string::npos);
+}
+
+TEST(SystemTablesPrometheusTest, EmptyTablesDeclareNoSeries) {
+  GlobalSystem gis;  // no sources and no tenants yet
+  const std::string text = gis.ExportPrometheus();
+  ValidatePrometheus(text);
+  EXPECT_EQ(text.find("gisql_source_"), std::string::npos) << text;
+  EXPECT_EQ(text.find("gisql_bufferpool_"), std::string::npos);
+  EXPECT_EQ(text.find("gisql_tenant_"), std::string::npos);
+  // One-row tables always have their row.
+  EXPECT_NE(text.find("# TYPE gisql_txn_active gauge\ngisql_txn_active 0\n"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Descriptor ≡ snapshot ≡ exposition
+// ---------------------------------------------------------------------------
+
+/// One exposition sample: name, unescaped labels, raw value text.
+struct Sample {
+  std::string name;
+  std::map<std::string, std::string> labels;
+  std::string value;
+};
+
+Sample ParseSample(const std::string& line) {
+  Sample s;
+  const size_t sp = line.rfind(' ');
+  s.value = line.substr(sp + 1);
+  const std::string key = line.substr(0, sp);
+  const size_t brace = key.find('{');
+  s.name = key.substr(0, brace);
+  if (brace == std::string::npos) return s;
+  size_t i = brace + 1;
+  while (i < key.size() && key[i] != '}') {
+    const size_t eq = key.find('=', i);
+    const std::string label = key.substr(i, eq - i);
+    std::string value;
+    for (i = eq + 2; key[i] != '"'; ++i) {
+      if (key[i] == '\\') {
+        ++i;
+        value += key[i] == 'n' ? '\n' : key[i];
+      } else {
+        value += key[i];
+      }
+    }
+    s.labels[label] = value;
+    i += key[i + 1] == ',' ? 2 : 1;
+  }
+  return s;
+}
+
+/// A federation after a mixed workload that touches every observable:
+/// closed-loop queries, Submit under two tenants (with a shed storm
+/// that captures an incident), a committed and an aborted transaction,
+/// a drained cursor, and advisor ticks.
+class SystemTableMappingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    PlannerOptions options;
+    options.admission_control = true;
+    options.max_concurrent_queries = 1;
+    options.admission_queue_limit = 0;  // overlapping arrivals shed
+    options.flight_shed_spike = 2;
+    options.advisor_enabled = true;
+    options.advisor_interval_ms = 1.0;
+    gis_ = std::make_unique<GlobalSystem>(options);
+    Build(gis_.get());
+    ASSERT_TRUE(gis_->Query("SELECT COUNT(*) FROM orders").ok());
+    const double t = gis_->governor().now_ms() + 1.0;
+    for (const char* tenant : {"alpha", "beta"}) {
+      GlobalSystem::SubmitOptions submit;
+      submit.tenant = tenant;
+      submit.arrival_ms = t;  // both arrive together: one sheds
+      (void)gis_->Submit("SELECT cid FROM clients ORDER BY cid", submit);
+    }
+    GlobalSystem::SubmitOptions late;
+    late.tenant = "beta";
+    late.arrival_ms = t;
+    (void)gis_->Submit("SELECT MAX(total) FROM orders", late);
+
+    auto commit = gis_->BeginTransaction();
+    ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+    ASSERT_TRUE(gis_->QueryInTxn(*commit, "SELECT COUNT(*) FROM orders").ok());
+    ASSERT_TRUE(gis_->TxnWrite(*commit, "hq",
+                               "INSERT INTO orders VALUES (100, 1, 1.5)")
+                    .ok());
+    ASSERT_TRUE(gis_->CommitTransaction(*commit).ok());
+    auto abort = gis_->BeginTransaction();
+    ASSERT_TRUE(abort.ok()) << abort.status().ToString();
+    ASSERT_TRUE(gis_->AbortTransaction(*abort).ok());
+
+    GlobalSystem::CursorOptions copts;
+    copts.chunk_rows = 16;
+    auto cursor = gis_->OpenCursor("SELECT oid FROM orders", copts);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    for (;;) {
+      auto chunk = gis_->FetchChunk(*cursor);
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      if (chunk->done) break;
+    }
+
+    ASSERT_GE(gis_->tenants().SnapshotTenants().size(), 2u);
+    ASSERT_GE(gis_->advisor().counters().ticks, 1);
+    ASSERT_GE(gis_->flight_recorder().incidents_captured(), 1);
+  }
+
+  Result<RowBatch> Snapshot(const std::string& name) {
+    return gis_->catalog().system_tables()->Snapshot(name);
+  }
+
+  std::unique_ptr<GlobalSystem> gis_;
+};
+
+TEST_F(SystemTableMappingTest, SnapshotsMatchDeclaredSchemas) {
+  size_t populated = 0;
+  for (const SystemTableDef& def : SystemTableDefs()) {
+    auto batch = Snapshot(def.name);
+    ASSERT_TRUE(batch.ok()) << def.name << ": " << batch.status().ToString();
+    ASSERT_EQ(batch->schema()->num_fields(), def.columns.size()) << def.name;
+    for (const Row& row : batch->rows()) {
+      ASSERT_EQ(row.size(), def.columns.size()) << def.name;
+      for (size_t c = 0; c < row.size(); ++c) {
+        if (row[c].is_null()) continue;
+        EXPECT_EQ(row[c].type(), def.columns[c].type)
+            << def.name << "." << def.columns[c].name;
+      }
+    }
+    if (!batch->empty()) ++populated;
+  }
+  // The workload leaves nearly every table populated, so the type
+  // check above has rows to bite on (gis.advisor may log nothing).
+  EXPECT_GE(populated, SystemTableDefs().size() - 1);
+}
+
+TEST_F(SystemTableMappingTest, EverySampleMapsToExactlyOneCell) {
+  const std::string text = gis_->ExportPrometheus();
+  ValidatePrometheus(text);
+  // The two registry blocks lead the exposition, unchanged.
+  const std::string registries =
+      gis_->metrics().ExportPrometheus("gisql") +
+      gis_->network().metrics().ExportPrometheus("gisql_net");
+  ASSERT_EQ(text.compare(0, registries.size(), registries), 0);
+
+  struct Exported {
+    const SystemTableDef* def;
+    RowBatch batch;
+    std::vector<std::vector<int>> hits;  // [row][column]
+  };
+  std::vector<Exported> tables;
+  for (const SystemTableDef& def : SystemTableDefs()) {
+    if (def.prom_prefix.empty()) continue;
+    auto batch = Snapshot(def.name);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const size_t rows = batch->num_rows();
+    tables.push_back({&def, std::move(*batch),
+                      std::vector<std::vector<int>>(
+                          rows, std::vector<int>(def.columns.size(), 0))});
+  }
+
+  std::map<std::string, std::string> types;
+  std::istringstream in(text.substr(registries.size()));
+  std::string line;
+  int samples = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream hdr(line.substr(7));
+      std::string name, type;
+      hdr >> name >> type;
+      types[name] = type;
+      continue;
+    }
+    ++samples;
+    const Sample s = ParseSample(line);
+    int matches = 0;
+    for (Exported& t : tables) {
+      const SystemTableDef& def = *t.def;
+      for (size_t c = 0; c < def.columns.size(); ++c) {
+        const SystemColumnDef& col = def.columns[c];
+        if (col.role == ExportRole::kNone || col.role == ExportRole::kLabel) {
+          continue;
+        }
+        const bool counter = col.role == ExportRole::kCounter;
+        if (s.name != def.prom_prefix + "_" + col.name +
+                          (counter ? "_total" : "")) {
+          continue;
+        }
+        for (size_t r = 0; r < t.batch.num_rows(); ++r) {
+          const Row& row = t.batch.rows()[r];
+          std::map<std::string, std::string> expected;
+          for (size_t l = 0; l < def.columns.size(); ++l) {
+            if (def.columns[l].role == ExportRole::kLabel) {
+              expected[def.columns[l].name] = row[l].AsString();
+            }
+          }
+          if (col.role == ExportRole::kState) {
+            expected[col.name] = row[c].AsString();
+          }
+          if (expected != s.labels) continue;
+          ++matches;
+          ++t.hits[r][c];
+          EXPECT_EQ(types[s.name], counter ? "counter" : "gauge") << line;
+          const Value& cell = row[c];
+          if (col.role == ExportRole::kState) {
+            EXPECT_EQ(s.value, "1") << line;
+          } else if (cell.type() == TypeId::kInt64) {
+            EXPECT_EQ(std::stoll(s.value), cell.AsInt()) << line;
+          } else if (cell.type() == TypeId::kBool) {
+            EXPECT_EQ(s.value, cell.AsBool() ? "1" : "0") << line;
+          } else {
+            // %.17g round-trips: the sample equals the cell exactly.
+            EXPECT_EQ(std::strtod(s.value.c_str(), nullptr), cell.AsDouble())
+                << line;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(matches, 1) << "sample maps to " << matches
+                          << " gis.* cells: " << line;
+  }
+  EXPECT_GT(samples, 0);
+
+  for (const Exported& t : tables) {
+    for (size_t r = 0; r < t.hits.size(); ++r) {
+      for (size_t c = 0; c < t.def->columns.size(); ++c) {
+        const ExportRole role = t.def->columns[c].role;
+        const int want =
+            role == ExportRole::kNone || role == ExportRole::kLabel ? 0 : 1;
+        EXPECT_EQ(t.hits[r][c], want)
+            << t.def->name << "." << t.def->columns[c].name << " row " << r;
+      }
+    }
+  }
+}
+
+TEST_F(SystemTableMappingTest, IncidentJsonCarriesTheFlaggedTables) {
+  const std::string json = gis_->flight_recorder().Incidents().back().json;
+  for (const SystemTableDef& def : SystemTableDefs()) {
+    const std::string key =
+        "\"" + def.name.substr(std::string(kSystemTablePrefix).size()) +
+        "\":[";
+    EXPECT_EQ(json.find(key) != std::string::npos, def.in_incidents)
+        << key << " in " << json;
+  }
 }
 
 TEST(PrometheusRegistryTest, EmptyRegistryExportsNothing) {
