@@ -216,7 +216,7 @@ RpcAttempt SimNetwork::CallAttemptImpl(const std::string& from,
 
   // The response travels inside a checksummed frame so in-flight damage
   // is detected at the receiver instead of consumed.
-  std::vector<uint8_t> frame = wire::SealFrame(*response);
+  std::vector<uint8_t> frame = wire::SealFrame(std::move(*response));
 
   if (fault.kind == FaultKind::kCrash) {
     // The source dies mid-response: the connection resets after a
@@ -255,7 +255,7 @@ RpcAttempt SimNetwork::CallAttemptImpl(const std::string& from,
   metrics_.Set("net.last_elapsed_ms", elapsed);
   a.elapsed_ms = elapsed;
 
-  Result<std::vector<uint8_t>> opened = wire::OpenFrame(frame);
+  Result<std::vector<uint8_t>> opened = wire::OpenFrame(std::move(frame));
   if (!opened.ok()) {
     a.status = opened.status();
     return a;

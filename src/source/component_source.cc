@@ -275,10 +275,33 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
            !own_deleted(table.get(), rid);
   };
 
+  // With a join, only a filter confined to outer columns may run before
+  // probing (it prunes probes); anything wider waits for the
+  // concatenated row.
+  ExprPtr pre_filter = frag.filter;
+  ExprPtr post_filter;
+  if (!frag.join_table.empty() && frag.filter) {
+    std::vector<size_t> cols;
+    frag.filter->CollectColumns(&cols);
+    for (size_t c : cols) {
+      if (c >= table->schema()->num_fields()) {
+        pre_filter = nullptr;
+        post_filter = frag.filter;
+        break;
+      }
+    }
+  }
+  // Filter-in-scan: every access path tests a visible candidate against
+  // `pre_filter` where it finds it, so only survivors are copied out of
+  // the buffer-pool page (every fetch pins a page and charges
+  // hits/misses). The first predicate error stops the gather.
+  auto passes = [&](const Row& row) -> Result<bool> {
+    if (!pre_filter) return true;
+    return EvalPredicate(*pre_filter, row);
+  };
+
   int64_t scanned = 0;
-  // Candidate rows are owned copies: heap rows live in buffer-pool
-  // pages, so every fetch below pins a page and charges hits/misses.
-  std::vector<Row> owned;
+  std::vector<Row> filtered_rows;
 
   if (frag.semijoin_column >= 0) {
     const size_t col = static_cast<size_t>(frag.semijoin_column);
@@ -294,8 +317,9 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
         for (size_t rid : index->Lookup(key)) {
           if (!visible(rid)) continue;
           GISQL_ASSIGN_OR_RETURN(Row row, table->GetRow(rid));
-          owned.push_back(std::move(row));
           ++scanned;
+          GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
+          if (keep) filtered_rows.push_back(std::move(row));
         }
       }
     } else {
@@ -310,7 +334,8 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
         // Hash hit: confirm by value to rule out collisions.
         for (const auto& key : frag.semijoin_values) {
           if (v.Compare(key) == 0) {
-            owned.push_back(row);
+            GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
+            if (keep) filtered_rows.push_back(row);
             break;
           }
         }
@@ -335,33 +360,38 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     const std::vector<size_t> rids =
         index->Range(frag.range_lo, frag.range_lo_inclusive, frag.range_hi,
                      frag.range_hi_inclusive);
-    owned.reserve(rids.size());
+    filtered_rows.reserve(rids.size());
     for (size_t rid : rids) {
       if (!visible(rid)) continue;
       GISQL_ASSIGN_OR_RETURN(Row row, table->GetRow(rid));
-      owned.push_back(std::move(row));
       ++scanned;
+      GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
+      if (keep) filtered_rows.push_back(std::move(row));
     }
   } else {
-    owned.reserve(static_cast<size_t>(table->num_rows()));
+    if (!pre_filter) {
+      filtered_rows.reserve(static_cast<size_t>(table->num_rows()));
+    }
     GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
       ++scanned;
       if (!visible(rid)) return Status::OK();
-      owned.push_back(row);
+      GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
+      if (keep) filtered_rows.push_back(row);
       return Status::OK();
     }));
   }
 
   // Read-your-writes: append this transaction's staged inserts for the
-  // scanned table, filtered through the same access-path membership the
-  // heap rows went through.
+  // scanned table, filtered through the same access-path membership and
+  // predicate the heap rows went through.
   if (self != nullptr) {
     for (const auto& w : self->writes) {
       if (w.table.get() != table.get()) continue;
       for (const Row& staged_row : w.rows) {
         if (!RowInAccessPath(frag, staged_row)) continue;
-        owned.push_back(staged_row);
         ++scanned;
+        GISQL_ASSIGN_OR_RETURN(bool keep, passes(staged_row));
+        if (keep) filtered_rows.push_back(staged_row);
       }
     }
   }
@@ -369,34 +399,6 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
   // The row space downstream operators see: the outer table's schema,
   // extended by the inner table's under an index-nested-loop join.
   SchemaPtr scan_schema = table->schema();
-
-  // With a join, only a filter confined to outer columns may run before
-  // probing (it prunes probes); anything wider waits for the
-  // concatenated row.
-  ExprPtr pre_filter = frag.filter;
-  ExprPtr post_filter;
-  if (!frag.join_table.empty() && frag.filter) {
-    std::vector<size_t> cols;
-    frag.filter->CollectColumns(&cols);
-    for (size_t c : cols) {
-      if (c >= table->schema()->num_fields()) {
-        pre_filter = nullptr;
-        post_filter = frag.filter;
-        break;
-      }
-    }
-  }
-
-  std::vector<Row> filtered_rows;
-  if (pre_filter) {
-    filtered_rows.reserve(owned.size());
-    for (Row& row : owned) {
-      GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*pre_filter, row));
-      if (keep) filtered_rows.push_back(std::move(row));
-    }
-  } else {
-    filtered_rows = std::move(owned);
-  }
 
   // Index-nested-loop join: probe the co-located inner table's index
   // with each outer row's key and concatenate matches.
@@ -476,13 +478,12 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
   }
   if (rows_scanned != nullptr) *rows_scanned = scanned;
 
-  // Pointer view for the downstream aggregation/projection kernels.
-  std::vector<const Row*> filtered;
-  filtered.reserve(filtered_rows.size());
-  for (const Row& row : filtered_rows) filtered.push_back(&row);
-
   // Aggregation path.
   if (frag.has_aggregate) {
+    // Pointer view for the aggregation kernels.
+    std::vector<const Row*> filtered;
+    filtered.reserve(filtered_rows.size());
+    for (const Row& row : filtered_rows) filtered.push_back(&row);
     std::vector<Field> out_fields;
     for (const auto& g : frag.group_by) {
       out_fields.emplace_back(g->ToString(), g->type);
@@ -545,18 +546,18 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
   }
 
   RowBatch out(out_schema);
-  for (const Row* row : filtered) {
+  for (Row& row : filtered_rows) {
     if (frag.order_by.empty() && frag.limit >= 0 &&
         static_cast<int64_t>(out.num_rows()) >= frag.limit) {
       break;
     }
     if (frag.projections.empty()) {
-      out.Append(*row);
+      out.Append(std::move(row));
     } else {
       Row projected;
       projected.reserve(frag.projections.size());
       for (const auto& p : frag.projections) {
-        GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, *row));
+        GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
         projected.push_back(std::move(v));
       }
       out.Append(std::move(projected));

@@ -6,51 +6,15 @@
 namespace gisql {
 namespace wire {
 
-std::vector<uint8_t> EncodeResponse(const Status& status,
-                                    const std::vector<uint8_t>& payload) {
-  ByteWriter w;
-  w.PutBool(status.ok());
-  if (!status.ok()) {
-    w.PutU8(static_cast<uint8_t>(status.code()));
-    w.PutString(status.message());
-  } else {
-    w.PutVarint(payload.size());
-    w.PutRaw(payload.data(), payload.size());
-  }
-  return w.Release();
-}
-
-Result<std::vector<uint8_t>> DecodeResponse(
-    const std::vector<uint8_t>& frame) {
-  ByteReader r(frame);
-  GISQL_ASSIGN_OR_RETURN(bool ok, r.GetBool());
-  if (!ok) {
-    GISQL_ASSIGN_OR_RETURN(uint8_t code, r.GetU8());
-    GISQL_ASSIGN_OR_RETURN(std::string msg, r.GetString());
-    if (code > static_cast<uint8_t>(StatusCode::kOverloaded) || code == 0) {
-      return Status::SerializationError("bad status code in response");
-    }
-    return Status(static_cast<StatusCode>(code), std::move(msg));
-  }
-  GISQL_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  if (n != r.remaining()) {
-    return Status::SerializationError("response payload length mismatch: ",
-                                      n, " declared, ", r.remaining(),
-                                      " present");
-  }
-  std::vector<uint8_t> payload(frame.end() - n, frame.end());
+std::vector<uint8_t> SealFrame(std::vector<uint8_t> payload) {
+  ByteWriter header;
+  header.PutU32(Crc32(payload.data(), payload.size()));
+  header.PutU32(static_cast<uint32_t>(payload.size()));
+  payload.insert(payload.begin(), header.data().begin(), header.data().end());
   return payload;
 }
 
-std::vector<uint8_t> SealFrame(const std::vector<uint8_t>& payload) {
-  ByteWriter w;
-  w.PutU32(Crc32(payload.data(), payload.size()));
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutRaw(payload.data(), payload.size());
-  return w.Release();
-}
-
-Result<std::vector<uint8_t>> OpenFrame(const std::vector<uint8_t>& frame) {
+Result<std::vector<uint8_t>> OpenFrame(std::vector<uint8_t> frame) {
   ByteReader r(frame);
   GISQL_ASSIGN_OR_RETURN(uint32_t crc, r.GetU32());
   GISQL_ASSIGN_OR_RETURN(uint32_t declared, r.GetU32());
@@ -59,14 +23,14 @@ Result<std::vector<uint8_t>> OpenFrame(const std::vector<uint8_t>& frame) {
         "frame truncated: ", declared, " payload bytes declared, ",
         r.remaining(), " present");
   }
-  const uint8_t* body = frame.data() + kFrameHeaderBytes;
-  const uint32_t actual = Crc32(body, declared);
+  const uint32_t actual = Crc32(frame.data() + kFrameHeaderBytes, declared);
   if (actual != crc) {
     return Status::SerializationError(
         "frame checksum mismatch: expected ", crc, ", computed ", actual,
         " over ", declared, " bytes");
   }
-  return std::vector<uint8_t>(body, body + declared);
+  frame.erase(frame.begin(), frame.begin() + kFrameHeaderBytes);
+  return frame;
 }
 
 void WriteTableStats(ByteWriter* w, const TableStats& stats) {

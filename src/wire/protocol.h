@@ -1,5 +1,6 @@
 /// \file protocol.h
-/// \brief Request/response framing of the mediator↔wrapper protocol.
+/// \brief Opcodes and checksummed response frames of the
+/// mediator↔wrapper protocol.
 
 #pragma once
 
@@ -58,31 +59,27 @@ constexpr uint8_t kBatchFormatRow = 0;       ///< wire::ReadBatch follows
 constexpr uint8_t kBatchFormatColumnar = 1;  ///< wire::ReadColumnBatch follows
 /// @}
 
-/// \brief Encodes a response frame: ok flag, then either an error
-/// (code + message) or the payload bytes.
-std::vector<uint8_t> EncodeResponse(const Status& status,
-                                    const std::vector<uint8_t>& payload);
-
-/// \brief Decodes a response frame back into Status-or-payload.
-Result<std::vector<uint8_t>> DecodeResponse(const std::vector<uint8_t>& frame);
-
 /// \name Checksummed transport frames
 ///
 /// Every successful RPC response crosses the simulated network inside a
 /// frame carrying a CRC-32 of the payload, so in-flight corruption and
 /// mid-transfer truncation are *detected* — the decoder returns a typed
 /// SerializationError, never garbage rows and never UB. The 8-byte
-/// header is [crc32 u32][payload length u32].
+/// header is [crc32 u32][payload length u32]. Both calls take
+/// ownership of their buffer and work in place: sealing inserts the
+/// header in front of the payload, opening erases it after the checks.
+/// Neither copies the payload into a new buffer (sealing reallocates
+/// only when the payload vector has no spare capacity).
 /// @{
 constexpr size_t kFrameHeaderBytes = 8;
 
 /// \brief Wraps a payload in a checksummed frame.
-std::vector<uint8_t> SealFrame(const std::vector<uint8_t>& payload);
+std::vector<uint8_t> SealFrame(std::vector<uint8_t> payload);
 
 /// \brief Validates a frame's length and checksum; returns the payload
 /// or a SerializationError naming the defect (truncation / checksum
 /// mismatch / length mismatch).
-Result<std::vector<uint8_t>> OpenFrame(const std::vector<uint8_t>& frame);
+Result<std::vector<uint8_t>> OpenFrame(std::vector<uint8_t> frame);
 /// @}
 
 /// \name Table statistics serde (catalog refresh path)

@@ -319,6 +319,21 @@ TEST_F(TwoSourceTest, SourceFailureSurfacesAsNetworkError) {
   EXPECT_TRUE(gis_.Query("SELECT * FROM orders").ok());
 }
 
+TEST_F(TwoSourceTest, PushedDownFilterErrorSurfacesUnchanged) {
+  // The WHERE ships to hq and divides by zero at oid 50, mid-table: the
+  // statement fails with the source's evaluator error.
+  const std::string sql = "SELECT oid FROM orders WHERE 10 / (oid - 50) > 0";
+  auto plan = gis_.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("WHERE"), std::string::npos);
+  EXPECT_EQ(plan->find("\nFilter"), std::string::npos);
+  auto result = gis_.Query(sql);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsExecutionError())
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message(), "division by zero");
+}
+
 TEST_F(TwoSourceTest, DuplicateSourceRejected) {
   EXPECT_TRUE(gis_.CreateSource("hq", SourceDialect::kLegacy)
                   .status()

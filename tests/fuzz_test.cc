@@ -162,6 +162,49 @@ TEST_P(FrameFuzz, CorruptedFramesAreRejectedTyped) {
   }
 }
 
+/// Fragment replies run to megabytes, far past FrameFuzz's 2 KiB
+/// payloads: a 1 MiB+ frame must round-trip, and any single flipped bit
+/// (CRC-32 detects every one-bit error at any length) or a cut inside
+/// the header must be rejected as a SerializationError.
+TEST(LargeFrameTest, MegabyteFramesRoundTripAndRejectDamage) {
+  Rng rng(7);
+  std::vector<uint8_t> payload((1u << 20) + 13);
+  for (auto& b : payload) b = static_cast<uint8_t>(rng.Uniform(0, 255));
+  const std::vector<uint8_t> frame = wire::SealFrame(payload);
+  ASSERT_EQ(frame.size(), payload.size() + wire::kFrameHeaderBytes);
+
+  auto clean = wire::OpenFrame(frame);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_TRUE(*clean == payload);
+
+  // The first and last bits, plus random ones across header and body.
+  std::vector<size_t> bits = {0, frame.size() * 8 - 1};
+  for (int i = 0; i < 30; ++i) {
+    bits.push_back(static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(frame.size() * 8) - 1)));
+  }
+  for (size_t bit : bits) {
+    std::vector<uint8_t> flipped = frame;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    auto opened = wire::OpenFrame(std::move(flipped));
+    ASSERT_FALSE(opened.ok()) << "undetected flip of bit " << bit;
+    EXPECT_TRUE(opened.status().IsSerializationError())
+        << opened.status().ToString();
+  }
+
+  for (size_t cut = 0; cut <= wire::kFrameHeaderBytes; ++cut) {
+    auto opened = wire::OpenFrame(
+        std::vector<uint8_t>(frame.begin(), frame.begin() + cut));
+    ASSERT_FALSE(opened.ok()) << "frame cut to " << cut << " bytes";
+    EXPECT_TRUE(opened.status().IsSerializationError())
+        << opened.status().ToString();
+  }
+  auto short_body = wire::OpenFrame(
+      std::vector<uint8_t>(frame.begin(), frame.end() - 1));
+  ASSERT_FALSE(short_body.ok());
+  EXPECT_TRUE(short_body.status().IsSerializationError());
+}
+
 class ColumnarFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 /// Mutated and random byte strings through the columnar batch decoder:

@@ -237,6 +237,88 @@ TEST(ComponentSourceTest, GlobalAggregateOnEmptyInput) {
   EXPECT_TRUE(batch->rows()[0][1].is_null());
 }
 
+TEST(ComponentSourceTest, FilterErrorMidTableFailsTheFragment) {
+  // The pushed-down predicate divides by zero at id 50, mid-table: the
+  // fragment fails with the evaluator's error, not a partial batch.
+  auto src = MakeOrdersSource(SourceDialect::kRelational);
+  FragmentPlan frag;
+  frag.table = "orders";
+  frag.filter = BindOnOrders(src, "10 / (id - 50) > 0");
+  auto batch = src->ExecuteFragment(frag);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsExecutionError());
+  EXPECT_EQ(batch.status().message(), "division by zero");
+}
+
+TEST(ComponentSourceTest, StagedInsertsPassThroughThePushedDownFilter) {
+  // Read-your-writes: a transaction's staged inserts join the heap rows
+  // only if they satisfy the fragment's predicate.
+  auto src = MakeOrdersSource(SourceDialect::kRelational);
+  auto prepared = src->PrepareTxnAt(
+      "t1",
+      "INSERT INTO orders VALUES (1000, 5.0, 'north'), "
+      "(1001, 500.0, 'south')",
+      1, /*numeric_txn_id=*/7, /*snapshot_ts=*/0);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared->granted);
+  FragmentPlan frag;
+  frag.table = "orders";
+  frag.txn_id = 7;
+  frag.filter = BindOnOrders(src, "amount > 100.0");
+  int64_t scanned = 0;
+  auto batch = src->ExecuteFragment(frag, &scanned);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(scanned, 102);             // 100 heap rows + 2 staged
+  ASSERT_EQ(batch->num_rows(), 50u);   // ids 51..99, then 1001
+  EXPECT_EQ(batch->rows().back()[0].AsInt(), 1001);
+  for (const Row& row : batch->rows()) EXPECT_NE(row[0].AsInt(), 1000);
+
+  // Outside the transaction the staged rows stay invisible.
+  frag.txn_id = 0;
+  auto outside = src->ExecuteFragment(frag);
+  ASSERT_TRUE(outside.ok());
+  EXPECT_EQ(outside->num_rows(), 49u);
+}
+
+TEST(ComponentSourceTest, IndexJoinFilterOnInnerColumnsRunsAfterTheJoin) {
+  // A filter over the inner table's columns cannot run in the outer
+  // scan; it must still apply to the concatenated rows.
+  auto src = MakeOrdersSource(SourceDialect::kRelational);
+  ASSERT_TRUE(src->ExecuteLocalSql(
+                     "CREATE TABLE labels (lid bigint, label varchar)")
+                  .ok());
+  auto labels = *src->engine().GetTable("labels");
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back({Value::Int(i), Value::String("l" + std::to_string(i))});
+  }
+  ASSERT_TRUE(labels->InsertUnchecked(std::move(rows)).ok());
+
+  auto orders = *src->engine().GetTable("orders");
+  std::vector<Field> fields = orders->schema()->fields();
+  for (const Field& f : labels->schema()->fields()) fields.push_back(f);
+  const Schema joined(std::move(fields));
+  auto ast = sql::ParseScalarExpr("label = 'l7' OR amount > 36.0");
+  ASSERT_TRUE(ast.ok());
+  auto filter = Binder(joined).BindScalar(**ast);
+  ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+
+  FragmentPlan frag;
+  frag.table = "orders";
+  frag.join_table = "labels";
+  frag.join_outer_column = 0;
+  frag.join_inner_column = 0;
+  frag.filter = *filter;
+  auto batch = src->ExecuteFragment(frag);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->schema()->num_fields(), 5u);
+  // ids 0..19 join; the filter keeps 7 and 19 (amount 38.0).
+  ASSERT_EQ(batch->num_rows(), 2u);
+  EXPECT_EQ(batch->rows()[0][0].AsInt(), 7);
+  EXPECT_EQ(batch->rows()[0][4].AsString(), "l7");
+  EXPECT_EQ(batch->rows()[1][0].AsInt(), 19);
+}
+
 TEST(CapabilityTest, LegacyRejectsEverything) {
   auto src = MakeOrdersSource(SourceDialect::kLegacy);
   FragmentPlan frag;

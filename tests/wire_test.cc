@@ -1,8 +1,10 @@
 /// Unit tests for the wire protocol: value/schema/batch/expr/fragment
-/// serde round-trips and malformed-input rejection.
+/// serde round-trips, malformed-input rejection, and the CRC-32 frame
+/// checksum against its bit-by-bit definition.
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
 #include "wire/protocol.h"
@@ -247,29 +249,40 @@ TEST(FragmentSerdeTest, MinimalFragment) {
   EXPECT_EQ(back->semijoin_column, -1);
 }
 
-TEST(ProtocolTest, ResponseFramingOk) {
-  std::vector<uint8_t> payload = {1, 2, 3, 4};
-  auto frame = wire::EncodeResponse(Status::OK(), payload);
-  auto back = wire::DecodeResponse(frame);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, payload);
+/// Bit-at-a-time reflected CRC-32 (polynomial 0xEDB88320): the
+/// definition the table-driven Crc32 must reproduce.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
 }
 
-TEST(ProtocolTest, ResponseFramingError) {
-  auto frame =
-      wire::EncodeResponse(Status::CapabilityError("no filters"), {});
-  auto back = wire::DecodeResponse(frame);
-  ASSERT_FALSE(back.ok());
-  EXPECT_TRUE(back.status().IsCapabilityError());
-  EXPECT_EQ(back.status().message(), "no filters");
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
 }
 
-TEST(ProtocolTest, LengthMismatchRejected) {
-  ByteWriter w;
-  w.PutBool(true);
-  w.PutVarint(10);  // claims 10 bytes
-  w.PutRaw("abc", 3);
-  EXPECT_FALSE(wire::DecodeResponse(w.data()).ok());
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..257 at start offsets 0..7 cover the 8-byte folding loop,
+  // every tail length and every load alignment.
+  std::vector<uint8_t> buf(257 + 8);
+  uint32_t x = 12345;
+  for (auto& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<uint8_t>(x >> 16);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
 }
 
 TEST(ProtocolTest, StatsRoundTrip) {
