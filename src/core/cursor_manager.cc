@@ -67,8 +67,7 @@ void CursorManager::Finalize(uint64_t id, State state) {
   if (it == entries_.end()) return;
   Entry& e = it->second;
   e.state = state;
-  e.stream.reset();
-  e.plan.reset();
+  e.exec.reset();
   e.grant = MemoryGrant();  // releases the charge
   // Retain a bounded tail of finished entries for gis.cursors; the map
   // is id-ordered, so pruning walks oldest-first deterministically.

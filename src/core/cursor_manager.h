@@ -5,11 +5,12 @@
 /// GlobalSystem owns one CursorManager and orchestrates the protocol
 /// (admission, execution, lease sweeps, clock advancement); the
 /// manager is the bookkeeping — entries, their lifecycle states, and
-/// the `gis.cursors` snapshot. An entry holds the pull pipeline
-/// (exec/streaming.h) or the spool of a blocking plan, plus the
-/// query's MemoryGrant: streaming entries re-grant per chunk so the
-/// charged footprint is O(chunk); spool entries keep the full charge
-/// until the cursor dies, because the spool really is resident.
+/// the `gis.cursors` snapshot. An entry holds a cursor-mode Executor
+/// (exec/executor.h) — the plan's pull tree, or a batch operator over
+/// the spool of a blocking plan — plus the query's MemoryGrant:
+/// streaming entries re-grant per chunk so the charged footprint is
+/// O(chunk); spool entries keep the full charge until the cursor dies,
+/// because the spool really is resident (served rows move out of it).
 ///
 /// Leases: every cursor carries a deadline on the simulated clock,
 /// renewed by each fetch. GlobalSystem sweeps expired cursors lazily
@@ -23,7 +24,7 @@
 #include <memory>
 #include <string>
 
-#include "exec/streaming.h"
+#include "exec/executor.h"
 #include "sched/memory_budget.h"
 #include "types/row.h"
 
@@ -58,9 +59,7 @@ class CursorManager {
     /// mediator's outcome for the cursor, recorded at end of life.
     double elapsed_ms = 0.0;
 
-    std::unique_ptr<RowStream> stream;
-    /// Keeps the plan nodes the stream references alive.
-    PlanNodePtr plan;
+    std::unique_ptr<Executor> exec;
     MemoryGrant grant;
     /// MVCC snapshot pinned for this cursor's lifetime: holds the GC
     /// watermark back so version chains its scan references survive
@@ -87,8 +86,8 @@ class CursorManager {
   /// before `now_ms`, ascending.
   std::vector<uint64_t> ExpiredBefore(double now_ms) const;
 
-  /// \brief Ends an entry's life: sets the state, drops the stream and
-  /// the plan, releases the memory grant, and prunes the oldest
+  /// \brief Ends an entry's life: sets the state, drops the executor,
+  /// releases the memory grant, and prunes the oldest
   /// finished entries beyond the retention bound. The entry reference
   /// (and any other finished entry's) is invalid afterwards.
   void Finalize(uint64_t id, State state);
@@ -98,7 +97,7 @@ class CursorManager {
   RowBatch Snapshot() const;
 
   /// \brief Monotone idempotency-token counter for source-side opens
-  /// (exec/streaming.h consumes it). Never reused, so a retried open
+  /// (cursor-mode Executors consume it). Never reused, so a retried open
   /// can always be told from a new one.
   uint64_t* token_counter() { return &next_token_; }
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "exec/streaming.h"
 #include "net/retry.h"
 #include "planner/cost_model.h"
 #include "planner/decomposer.h"
@@ -818,20 +817,22 @@ Status GlobalSystem::Process(const std::string& sql, const Pipeline& p,
     }
   }
 
-  // Execute: incrementally behind a cursor for streamable plans,
-  // otherwise to completion, charged to the statement's memory grant
-  // (for a cursor, served from the resulting spool).
+  // Execute: a streamable cursor's tree in cursor mode, pulled chunk by
+  // chunk by FetchChunk; anything else drained in whole mode, charged
+  // to the statement's memory grant (for a cursor, the drained result
+  // is then served in chunk_rows slices).
   MemoryGrant grant = governor_.memory().NewGrant();
   const bool streaming =
       p.delivery == Delivery::kCursor && IsStreamablePlan(plan);
-  std::unique_ptr<RowStream> stream;
+  std::unique_ptr<Executor> cursor;
+  if (p.delivery == Delivery::kCursor) {
+    cursor = std::make_unique<Executor>(MakeExecContext(nullptr),
+                                        p.chunk_rows, cursors_.token_counter());
+  }
   ExecOutput exec;
   uint64_t exec_span = 0;
   if (streaming) {
-    GISQL_ASSIGN_OR_RETURN(stream, Metered(&o->traffic, [&] {
-      return OpenPlanStream(MakeExecContext(nullptr), plan, p.chunk_rows,
-                            cursors_.token_counter());
-    }));
+    GISQL_RETURN_NOT_OK(cursor->Open(plan));
   } else if (!o->cache_hit) {
     ExecContext ctx = MakeExecContext(&grant);
     ctx.snapshot_ts = p.snapshot_ts;
@@ -851,15 +852,12 @@ Status GlobalSystem::Process(const std::string& sql, const Pipeline& p,
 
   // Deliver.
   if (p.delivery == Delivery::kCursor) {
-    if (!streaming) {
-      stream = MakeSpoolStream(std::move(exec.batch), p.chunk_rows);
-    }
+    if (!streaming) cursor->Open(std::move(exec.batch));
     const double opened_at = p.admit ? o->qctx.start_ms + o->elapsed_ms
                                      : governor_.now_ms();
     CursorManager::Entry& e =
         cursors_.Create(sql, streaming, p.chunk_rows, opened_at, p.lease_ms);
-    e.stream = std::move(stream);
-    e.plan = std::move(plan);
+    e.exec = std::move(cursor);
     // The grant keeps a spool's full charge until the cursor dies — the
     // spool really is resident.
     e.grant = std::move(grant);
@@ -1034,10 +1032,10 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   // Every fetch's traffic — failed attempts included — is the cursor's.
   Outcome& o = cursor_outcomes_.at(cursor_id);
   const Traffic before = o.traffic;
-  Result<StreamChunk> chunk_or =
-      Metered(&o.traffic, [&] { return e->stream->Next(); });
+  Result<ExecOutput> chunk_or =
+      Metered(&o.traffic, [&] { return e->exec->Next(); });
   if (!chunk_or.ok()) {
-    // A transport error leaves the cursor open: the stream did not
+    // A transport error leaves the cursor open: the tree did not
     // advance, so a retried FetchChunk re-requests the same chunk and
     // the source's one-chunk re-serve window absorbs the duplicate.
     // Anything else is fatal to the cursor.
@@ -1047,7 +1045,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
     }
     return chunk_or.status();
   }
-  StreamChunk chunk = std::move(chunk_or).ValueUnsafe();
+  ExecOutput chunk = std::move(chunk_or).ValueUnsafe();
 
   if (e->streaming) {
     // Re-grant per chunk: a fresh grant charged for just this chunk
@@ -1057,12 +1055,12 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
     // Charge still books the bytes, and only release-through-the-grant
     // keeps the global budget consistent.
     const int64_t width =
-        chunk.rows.schema() != nullptr
-            ? static_cast<int64_t>(chunk.rows.schema()->fields().size())
+        chunk.batch.schema() != nullptr
+            ? static_cast<int64_t>(chunk.batch.schema()->fields().size())
             : 0;
     MemoryGrant next = governor_.memory().NewGrant();
     const Status charged = next.Charge(
-        EstimateRowBytes(static_cast<int64_t>(chunk.rows.num_rows()), width),
+        EstimateRowBytes(static_cast<int64_t>(chunk.batch.num_rows()), width),
         "a cursor chunk");
     e->grant = std::move(next);
     o.mem_bytes = std::max(o.mem_bytes, e->grant.used());
@@ -1076,7 +1074,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   }
 
   e->chunks += 1;
-  e->rows += static_cast<int64_t>(chunk.rows.num_rows());
+  e->rows += static_cast<int64_t>(chunk.batch.num_rows());
   e->elapsed_ms += chunk.elapsed_ms;
   governor_.AdvanceTo(now + chunk.elapsed_ms);
   // Each successful fetch renews the lease from the advanced clock.
@@ -1084,7 +1082,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   metrics_.Add("cursor.chunks", 1);
 
   CursorChunkResult res;
-  res.batch = std::move(chunk.rows);
+  res.batch = std::move(chunk.batch);
   res.done = chunk.done;
   res.seq = static_cast<uint64_t>(e->chunks - 1);
   res.metrics.elapsed_ms = chunk.elapsed_ms;
@@ -1121,11 +1119,11 @@ void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
   if (entry.state != CursorManager::State::kOpen) return;
   auto it = cursor_outcomes_.find(entry.id);
   Outcome& o = it->second;
-  if (entry.stream != nullptr) {
+  if (entry.exec != nullptr) {
     // Best-effort remote close; its traffic and time belong to the
     // cursor like any fetch's.
     const double close_ms =
-        Metered(&o.traffic, [&] { return entry.stream->Close(); });
+        Metered(&o.traffic, [&] { return entry.exec->Close(); });
     entry.elapsed_ms += close_ms;
     governor_.AdvanceTo(governor_.now_ms() + close_ms);
   }

@@ -1,13 +1,29 @@
 /// \file executor.h
-/// \brief The mediator's execution engine: interprets a decomposed plan,
-/// shipping fragments over the simulated network and compensating with
-/// local operators.
+/// \brief The mediator's execution engine: one pull operator per plan
+/// node, shipping fragments over the simulated network and
+/// compensating with local operators (the Volcano iterator, with
+/// batches).
 ///
-/// Simulated-time model: each node reports the elapsed simulated
-/// milliseconds of its subtree. Independent remote fetches (union
-/// members, both sides of a ship-strategy join) overlap and contribute
-/// their maximum; dependent stages (semijoin reduction, local operators
-/// over fetched data) add up. Mediator CPU is charged per row processed.
+/// Every operator's Next() yields a chunk — rows, the columnar copy
+/// when one arrived off the wire, the chunk's simulated elapsed ms, and
+/// a done flag. How the fragment leaves fetch is fixed once per tree:
+///
+///   - Whole mode (Executor(ctx), then Execute): each leaf ships its
+///     fragment in one kExecuteFragmentColumnar (or kExecuteFragment)
+///     RPC, so every operator answers in a single, final chunk and a
+///     materialized result is just a full drain of the root.
+///   - Cursor mode (Executor(ctx, chunk_rows, tokens), then Open/Next):
+///     a streamable plan's leaves open a source cursor and fetch it
+///     chunk by chunk (kOpenCursor, kFetchChunk, kCloseCursor), so the
+///     mediator holds O(chunk). A non-streamable cursor result is
+///     drained in whole mode first and served from the batch operator.
+///
+/// Simulated-time model: each chunk reports the elapsed simulated
+/// milliseconds spent producing it. Independent remote fetches (union
+/// members and both sides of a ship-strategy join, in whole mode)
+/// overlap and contribute their maximum; dependent stages (semijoin
+/// reduction, local operators over fetched data) add up. Mediator CPU
+/// is charged per row processed.
 
 #pragma once
 
@@ -86,7 +102,7 @@ struct ExecContext {
   /// health_aware_routing). Not owned; may be null.
   const SourceHealthTracker* health = nullptr;
   /// Per-source circuit breakers (sched/circuit_breaker.h): an open
-  /// breaker makes ExecFragment skip the candidate at zero network
+  /// breaker makes a fragment leaf skip the candidate at zero network
   /// cost. Not owned; null or disabled = classic behavior.
   CircuitBreakerRegistry* breakers = nullptr;
   /// Reorder a replicated view's failover candidates so suspect
@@ -101,7 +117,6 @@ struct ExecContext {
   uint64_t txn_id = 0;
 };
 
-/// \brief A materialized result plus its simulated cost.
 /// \brief Where a remote fragment may run, in try order, as (source,
 /// exported table) pairs: the planned primary, then the alternates of
 /// a replicated view in catalog order. Under health-aware routing a
@@ -115,73 +130,75 @@ std::vector<std::pair<const std::string*, const std::string*>>
 FragmentCandidates(const ExecContext& ctx, const PlanNode& node,
                    const std::string& table);
 
+/// \brief One chunk of an operator's output plus its simulated cost.
 struct ExecOutput {
   RowBatch batch;
   double elapsed_ms = 0.0;
-  /// When the result arrived via the columnar wire encoding, the
-  /// decoded columns ride along (same rows as `batch`) so the parent
-  /// operator can run vectorized kernels without re-pivoting.
+  /// When the rows arrived via the columnar wire encoding, the decoded
+  /// columns ride along (same rows as `batch`) so the parent operator
+  /// can run vectorized kernels without re-pivoting.
   std::shared_ptr<const ColumnBatch> columnar;
+  /// True on the last chunk (which may still carry rows, or be empty
+  /// for an empty result).
+  bool done = false;
 };
+
+/// \brief True when `plan` can run in cursor mode: Filter / Project /
+/// Limit / UnionAll chains over RemoteFragment leaves (a semijoin
+/// marker without injected keys counts as a plain fragment). Blocking
+/// operators (join, aggregate, sort, distinct), values and virtual
+/// scans make a plan non-streamable.
+bool IsStreamablePlan(const PlanNodePtr& plan);
+
+class Operator;
 
 class Executor {
  public:
-  explicit Executor(ExecContext ctx) : ctx_(std::move(ctx)) {}
+  /// \brief Whole mode: Execute() runs a plan to completion.
+  explicit Executor(ExecContext ctx);
+  /// \brief Cursor mode: Open() builds a pull tree whose fragment leaves
+  /// stream through source cursors of `chunk_rows` rows. Cursor trees
+  /// run serially (the client drives the pulls), untraced and
+  /// unbudgeted — the cursor's owner charges each chunk. Source-cursor
+  /// idempotency tokens are drawn from `*next_token`, one per fragment
+  /// leaf in plan pre-order (the caller owns the counter and never
+  /// reuses values; may be null for a batch-only tree).
+  Executor(ExecContext ctx, int64_t chunk_rows, uint64_t* next_token);
+  ~Executor();
 
-  /// \brief Executes a decomposed plan to completion.
+  /// \brief Whole mode: a full drain of the plan's tree.
   Result<ExecOutput> Execute(const PlanNodePtr& plan);
 
+  /// \brief Cursor mode: builds the tree of a streamable plan. No
+  /// network traffic happens here: each leaf opens its source cursor on
+  /// its first pull, so union members are staged one at a time.
+  Status Open(PlanNodePtr plan);
+  /// \brief Cursor mode: a tree of one batch operator serving `rows` (a
+  /// drained non-streamable result) in chunk_rows slices.
+  void Open(RowBatch rows);
+  /// \brief Cursor mode: the root's next chunk. Must not be called again
+  /// after a chunk with done == true.
+  Result<ExecOutput> Next();
+  /// \brief Releases remote cursors (idempotent). Returns the simulated
+  /// milliseconds the close RPCs cost.
+  double Close();
+
  private:
-  /// Execution methods thread two tracing arguments: `t0`, the
-  /// simulated time at which this subtree begins (children of
-  /// overlapping fetches share their parent's t0; dependent stages
-  /// start after what they depend on), and the span to attach to —
-  /// `parent` for methods that open their own node span, `self` (the
-  /// already-open span of `node`) for the per-kind bodies.
-  Result<ExecOutput> Exec(const PlanNode& node, double t0, uint64_t parent);
-  Result<ExecOutput> ExecImpl(const PlanNode& node, double t0,
-                              uint64_t self);
-  Result<ExecOutput> ExecFragment(const PlanNode& node,
-                                  const FragmentPlan& frag, double t0,
-                                  uint64_t self);
-  Result<ExecOutput> ExecUnionAll(const PlanNode& node, double t0,
-                                  uint64_t self);
-  Result<ExecOutput> ExecJoin(const PlanNode& node, double t0,
-                              uint64_t self);
-  Result<ExecOutput> ExecAggregate(const PlanNode& node, double t0,
-                                   uint64_t self);
+  friend class Operator;
 
-  /// Applies a Filter/Project node's operation to an already-computed
-  /// child output (shared by Exec and the semijoin probe path).
-  Result<ExecOutput> ApplyFilter(const PlanNode& node, ExecOutput child);
-  Result<ExecOutput> ApplyProject(const PlanNode& node, ExecOutput child);
-
-  /// Executes the probe side of a semijoin-reduced join, pushing the
-  /// collected build keys through any mediator-side compensation chain
-  /// (Project/Filter) down to the marked fragment.
-  Result<ExecOutput> ExecSemijoinProbe(const PlanNode& node,
-                                       const std::vector<Value>& keys,
-                                       double t0, uint64_t parent);
-
-  /// Opens the operator span for `node` (0 when tracing is off).
-  uint64_t BeginNodeSpan(const PlanNode& node, double t0, uint64_t parent);
-  /// Closes the span and records EXPLAIN ANALYZE actuals onto the node.
-  void FinishNodeSpan(const PlanNode& node, uint64_t span, double t0,
-                      const Result<ExecOutput>& out);
-
-  double CpuMs(size_t rows) const {
-    return static_cast<double>(rows) * ctx_.mediator_cpu_us_per_row / 1e3;
-  }
-
-  /// Charges `rows` materialized rows of `width` columns against the
-  /// query's memory grant (no-op when unbudgeted).
-  Status ChargeMemory(size_t rows, size_t width, const char* what);
+  Result<std::unique_ptr<Operator>> Build(const PlanNodePtr& node);
 
   ExecContext ctx_;
+  /// Rows per chunk at the leaves; 0 = whole mode.
+  int64_t chunk_rows_ = 0;
+  uint64_t* next_token_ = nullptr;
   /// Orders same-source fragment executions into plan pre-order under
   /// pooled execution, so source-side buffer-pool metrics replay
   /// byte-identically between serial and parallel runs.
   SourceSequencer sequencer_;
+  /// Keeps the plan nodes the operators reference alive.
+  PlanNodePtr plan_;
+  std::unique_ptr<Operator> root_;
 };
 
 }  // namespace gisql

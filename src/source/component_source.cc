@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -837,15 +838,23 @@ Status ComponentSource::LoadSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-ComponentSource::FragmentPageStats ComponentSource::PageStatsSince(
-    const BufferPoolStats& before) const {
+Result<RowBatch> ComponentSource::RunFragment(const FragmentPlan& frag,
+                                              FragmentPageStats* pages,
+                                              double* processing_ms) {
+  const BufferPoolStats before = engine_.pool().Snapshot();
+  int64_t rows_scanned = 0;
+  GISQL_ASSIGN_OR_RETURN(RowBatch batch, ExecuteFragment(frag, &rows_scanned));
   const BufferPoolStats after = engine_.pool().Snapshot();
-  FragmentPageStats pages;
-  pages.page_hits = after.hits - before.hits;
-  pages.page_misses = after.misses - before.misses;
-  pages.evictions = after.evictions - before.evictions;
-  pages.disk_us = after.disk_us - before.disk_us;
-  return pages;
+  pages->page_hits = after.hits - before.hits;
+  pages->page_misses = after.misses - before.misses;
+  pages->evictions = after.evictions - before.evictions;
+  pages->disk_us = after.disk_us - before.disk_us;
+  if (processing_ms != nullptr) {
+    *processing_ms =
+        static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
+        pages->disk_us / 1e3;
+  }
+  return batch;
 }
 
 void ComponentSource::WritePageStatsTrailer(ByteWriter* writer,
@@ -975,45 +984,16 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
       return writer.Release();
     }
 
-    case wire::Opcode::kExecuteFragment: {
-      GISQL_ASSIGN_OR_RETURN(FragmentPlan frag, wire::ReadFragment(&reader));
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
-      GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(frag, &rows_scanned));
-      const FragmentPageStats pages = PageStatsSince(pool_before);
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            pages.disk_us / 1e3;
-      }
-      wire::WriteBatch(&writer, batch);
-      WritePageStatsTrailer(&writer, pages);
-      return writer.Release();
-    }
-
+    case wire::Opcode::kExecuteFragment:
     case wire::Opcode::kExecuteFragmentColumnar: {
       GISQL_ASSIGN_OR_RETURN(FragmentPlan frag, wire::ReadFragment(&reader));
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
+      FragmentPageStats pages;
       GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(frag, &rows_scanned));
-      const FragmentPageStats pages = PageStatsSince(pool_before);
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            pages.disk_us / 1e3;
-      }
-      // Columnar when every row fits its declared column type; row
-      // encoding otherwise (e.g. an expression whose value type differs
-      // from the projected column's declared type).
-      Result<ColumnBatch> columnar = ColumnBatch::FromRows(batch);
-      if (columnar.ok()) {
-        writer.PutU8(wire::kBatchFormatColumnar);
-        wire::WriteColumnBatch(&writer, *columnar);
-      } else {
-        writer.PutU8(wire::kBatchFormatRow);
+                             RunFragment(frag, &pages, processing_ms));
+      if (opcode == static_cast<uint8_t>(wire::Opcode::kExecuteFragment)) {
         wire::WriteBatch(&writer, batch);
+      } else {
+        wire::WriteResultBatch(&writer, batch);
       }
       WritePageStatsTrailer(&writer, pages);
       return writer.Release();
@@ -1035,17 +1015,11 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
                                   " open cursors (limit ",
                                   kMaxOpenCursorsPerSource, ")");
       }
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
-      GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(req.fragment, &rows_scanned));
       // The scan (CPU and disk) is paid here, at open; fetches only
       // slice and ship.
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            PageStatsSince(pool_before).disk_us / 1e3;
-      }
+      FragmentPageStats pages;
+      GISQL_ASSIGN_OR_RETURN(RowBatch batch,
+                             RunFragment(req.fragment, &pages, processing_ms));
       const uint64_t id = next_cursor_id_++;
       SourceCursor& cur = cursors_[id];
       cur.token = req.token;
@@ -1075,13 +1049,14 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
             "cursor ", req.cursor_id, " fetch seq ", req.seq,
             " outside window (next ", cur.next_seq, ")");
       }
+      // Served rows move out of the staged result: a retry of this
+      // chunk re-sends `last_chunk`'s bytes, never the rows.
       const int64_t total = cur.result.num_rows();
       const int64_t take =
           std::min(cur.chunk_rows, total - cur.next_row);
-      std::vector<Row> rows(
-          cur.result.rows().begin() + cur.next_row,
-          cur.result.rows().begin() + cur.next_row + take);
-      RowBatch chunk(cur.result.schema(), std::move(rows));
+      auto first = std::make_move_iterator(cur.result.rows().begin() +
+                                           cur.next_row);
+      RowBatch chunk(cur.result.schema(), std::vector<Row>(first, first + take));
       const bool done = cur.next_row + take >= total;
       wire::WriteCursorChunk(&writer, req.cursor_id, req.seq, done, chunk);
       cur.next_row += take;

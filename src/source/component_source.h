@@ -177,8 +177,12 @@ class ComponentSource : public RpcHandler {
     double disk_us = 0.0;
   };
 
-  /// \brief Buffer-pool counter deltas since `before` was snapshot.
-  FragmentPageStats PageStatsSince(const BufferPoolStats& before) const;
+  /// \brief Runs a fragment for one of the wire handlers: its
+  /// buffer-pool deltas go to `*pages`, and its simulated processing
+  /// time — scan CPU plus disk — to `*processing_ms` (may be null).
+  Result<RowBatch> RunFragment(const FragmentPlan& frag,
+                               FragmentPageStats* pages,
+                               double* processing_ms);
 
   /// \brief Appends the page-stats trailer to a fragment response.
   static void WritePageStatsTrailer(ByteWriter* writer,

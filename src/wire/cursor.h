@@ -33,8 +33,8 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "source/fragment.h"
-#include "types/column_batch.h"
 #include "types/row.h"
+#include "wire/protocol.h"
 
 namespace gisql {
 namespace wire {
@@ -74,16 +74,13 @@ struct CloseCursorRequest {
   uint64_t cursor_id = 0;
 };
 
-/// \brief One fetched chunk: identity, position, and the rows.
-struct CursorChunk {
+/// \brief One fetched chunk: identity, position, and the rows (a
+/// tagged result batch, wire/protocol.h).
+struct CursorChunk : ResultBatch {
   uint64_t cursor_id = 0;
   uint64_t seq = 0;
   /// True when no chunk follows this one (this chunk may be empty).
   bool done = false;
-  RowBatch rows;
-  /// Set when the chunk crossed the wire columnar (same rows as
-  /// `rows`); downstream vectorized kernels can use it directly.
-  std::shared_ptr<const ColumnBatch> columnar;
 };
 
 /// \name Request serde
@@ -103,9 +100,8 @@ Result<CloseCursorRequest> ReadCloseCursorRequest(ByteReader* r);
 void WriteOpenCursorResponse(ByteWriter* w, const OpenCursorResponse& resp);
 Result<OpenCursorResponse> ReadOpenCursorResponse(ByteReader* r);
 
-/// \brief Encodes a chunk, preferring the columnar batch encoding and
-/// falling back to rows when the values do not fit their declared
-/// column types (the kExecuteFragmentColumnar convention).
+/// \brief Encodes a chunk; the rows travel as a tagged result batch
+/// (the kExecuteFragmentColumnar convention).
 void WriteCursorChunk(ByteWriter* w, uint64_t cursor_id, uint64_t seq,
                       bool done, const RowBatch& rows);
 

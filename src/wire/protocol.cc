@@ -14,6 +14,32 @@ std::vector<uint8_t> SealFrame(std::vector<uint8_t> payload) {
   return payload;
 }
 
+void WriteResultBatch(ByteWriter* w, const RowBatch& rows) {
+  Result<ColumnBatch> columnar = ColumnBatch::FromRows(rows);
+  if (columnar.ok()) {
+    w->PutU8(kBatchFormatColumnar);
+    WriteColumnBatch(w, *columnar);
+  } else {
+    w->PutU8(kBatchFormatRow);
+    WriteBatch(w, rows);
+  }
+}
+
+Result<ResultBatch> ReadResultBatch(ByteReader* r) {
+  ResultBatch out;
+  GISQL_ASSIGN_OR_RETURN(uint8_t format, r->GetU8());
+  if (format == kBatchFormatColumnar) {
+    GISQL_ASSIGN_OR_RETURN(ColumnBatch cols, ReadColumnBatch(r));
+    out.rows = cols.ToRows();
+    out.columnar = std::make_shared<ColumnBatch>(std::move(cols));
+  } else if (format == kBatchFormatRow) {
+    GISQL_ASSIGN_OR_RETURN(out.rows, ReadBatch(r));
+  } else {
+    return Status::SerializationError("bad batch format byte ", int(format));
+  }
+  return out;
+}
+
 Result<std::vector<uint8_t>> OpenFrame(std::vector<uint8_t> frame) {
   ByteReader r(frame);
   GISQL_ASSIGN_OR_RETURN(uint32_t crc, r.GetU32());

@@ -5,11 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
 #include "storage/statistics.h"
+#include "types/column_batch.h"
+#include "types/row.h"
 
 namespace gisql {
 namespace wire {
@@ -53,10 +56,26 @@ enum class Opcode : uint8_t {
   kBulkLoad = 14,
 };
 
-/// \name Batch format bytes of kExecuteFragmentColumnar responses
+/// \name Tagged result batches
+///
+/// The body of kExecuteFragmentColumnar responses and of cursor
+/// chunks: one format byte, then the batch — columnar when every value
+/// fits its declared column type, the row encoding otherwise (e.g. an
+/// expression whose value type differs from the projected column's).
 /// @{
 constexpr uint8_t kBatchFormatRow = 0;       ///< wire::ReadBatch follows
 constexpr uint8_t kBatchFormatColumnar = 1;  ///< wire::ReadColumnBatch follows
+
+/// \brief A decoded tagged batch.
+struct ResultBatch {
+  RowBatch rows;
+  /// The decoded columns (same rows as `rows`) when the wire carried
+  /// the columnar encoding, so vectorized kernels need no re-pivot.
+  std::shared_ptr<ColumnBatch> columnar;
+};
+
+void WriteResultBatch(ByteWriter* w, const RowBatch& rows);
+Result<ResultBatch> ReadResultBatch(ByteReader* r);
 /// @}
 
 /// \name Checksummed transport frames

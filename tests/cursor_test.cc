@@ -307,6 +307,72 @@ TEST(CursorSystemTest, BlockingPlanSpoolsAndChunksIdentically) {
   EXPECT_EQ(gis.governor().memory().in_use(), gis.BufferPoolResidentBytes());
 }
 
+TEST(CursorSystemTest, UnionViewStreamsMemberByMemberAndStopsAtTheLimit) {
+  // Three legacy members (no pushdown: the filter and the limit run at
+  // the mediator) of 8 rows each, k = 0..7, of which the filter keeps
+  // k >= 2. OFFSET 4 LIMIT 5 takes k = 6, 7 of member 0 and k = 2..4 of
+  // member 1, so the limit is reached inside member 1 (read in chunks
+  // of 3 < 8 rows) and member 2 is never needed.
+  GlobalSystem gis;
+  std::vector<std::string> members;
+  for (int m = 0; m < 3; ++m) {
+    const std::string name = "part" + std::to_string(m);
+    auto src = *gis.CreateSource(name, SourceDialect::kLegacy);
+    ASSERT_TRUE(
+        src->ExecuteLocalSql("CREATE TABLE t (id bigint, k bigint)").ok());
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int k = 0; k < 8; ++k) {
+      if (k > 0) insert += ", ";
+      insert += "(" + std::to_string(10 * m + k) + ", " + std::to_string(k) +
+                ")";
+    }
+    ASSERT_TRUE(src->ExecuteLocalSql(insert).ok());
+    ASSERT_TRUE(gis.ImportTable(name, "t", "t_" + name).ok());
+    members.push_back("t_" + name);
+  }
+  ASSERT_TRUE(gis.CreateUnionView("parts", members).ok());
+  const std::string sql =
+      "SELECT id, k FROM parts WHERE k >= 2 LIMIT 5 OFFSET 4";
+
+  auto full = gis.Query(sql);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->batch.num_rows(), 5u);
+  EXPECT_EQ(full->batch.rows()[1][0].AsInt(), 7);   // member 0's last
+  EXPECT_EQ(full->batch.rows()[2][0].AsInt(), 12);  // member 1's first
+  auto plan = gis.Explain(sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("Filter"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("Limit"), std::string::npos) << *plan;
+
+  // The unread member's source is down: the cursor only succeeds if it
+  // never stages that member.
+  gis.network().SetHostDown("part2", true);
+  GlobalSystem::CursorOptions copts;
+  copts.chunk_rows = 3;
+  auto id = gis.OpenCursor(sql, copts);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(gis.cursors().Find(*id)->streaming);
+  RowBatch acc(full->batch.schema());
+  int64_t last_messages = 0;
+  for (bool done = false; !done;) {
+    auto chunk = gis.FetchChunk(*id);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    EXPECT_LE(chunk->batch.num_rows(), 3u);
+    for (const auto& row : chunk->batch.rows()) acc.Append(row);
+    last_messages = chunk->metrics.messages;
+    done = chunk->done;
+  }
+  EXPECT_EQ(acc.ToString(1 << 20), full->batch.ToString(1 << 20));
+  EXPECT_EQ(gis.cursors().Find(*id)->state, CursorManager::State::kDrained);
+  // The chunk that reached the limit paid one fetch and the early close
+  // of the partly read member; the drained member was closed on
+  // exhaustion and the unread one never opened.
+  EXPECT_EQ(last_messages, 2);
+  for (const char* name : {"part0", "part1", "part2"}) {
+    EXPECT_EQ((*gis.GetSource(name))->open_cursors(), 0u) << name;
+  }
+}
+
 TEST(CursorSystemTest, OpenCursorRejectsNonSelect) {
   GlobalSystem gis;
   Build(&gis);

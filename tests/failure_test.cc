@@ -23,10 +23,13 @@ class GarbageHandler : public RpcHandler {
 
 class ReplicationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Federate(&gis_); }
+
+  /// Three replicas of `inv` behind the replicated view `inventory`.
+  static void Federate(GlobalSystem* gis) {
     for (int i = 0; i < 3; ++i) {
       const std::string name = "replica" + std::to_string(i);
-      auto src = *gis_.CreateSource(name, SourceDialect::kRelational);
+      auto src = *gis->CreateSource(name, SourceDialect::kRelational);
       ASSERT_TRUE(
           src->ExecuteLocalSql("CREATE TABLE inv (id bigint, qty bigint)")
               .ok());
@@ -34,13 +37,21 @@ class ReplicationTest : public ::testing::Test {
       ASSERT_TRUE(src->ExecuteLocalSql(
                         "INSERT INTO inv VALUES (1, 10), (2, 20), (3, 30)")
                       .ok());
-      ASSERT_TRUE(
-          gis_.ImportTable(name, "inv", "inv_" + name).ok());
+      ASSERT_TRUE(gis->ImportTable(name, "inv", "inv_" + name).ok());
     }
-    ASSERT_TRUE(gis_.CreateReplicatedView(
+    ASSERT_TRUE(gis->CreateReplicatedView(
                        "inventory",
                        {"inv_replica0", "inv_replica1", "inv_replica2"})
                     .ok());
+  }
+
+  /// The replica the plan of `sql` reads first.
+  std::string PlannedReplica(const std::string& sql) {
+    auto text = *gis_.Explain(sql);
+    for (const char* r : {"replica0", "replica1", "replica2"}) {
+      if (text.find(std::string("@") + r) != std::string::npos) return r;
+    }
+    return "";
   }
 
   GlobalSystem gis_;
@@ -64,11 +75,8 @@ TEST_F(ReplicationTest, LatencyHintSteersReplicaChoice) {
 
 TEST_F(ReplicationTest, FailoverOnPrimaryDown) {
   // Find which replica the plan reads and take it down.
-  auto text = *gis_.Explain("SELECT * FROM inventory WHERE id = 2");
-  std::string primary;
-  for (const char* r : {"replica0", "replica1", "replica2"}) {
-    if (text.find(std::string("@") + r) != std::string::npos) primary = r;
-  }
+  const std::string primary =
+      PlannedReplica("SELECT * FROM inventory WHERE id = 2");
   ASSERT_FALSE(primary.empty());
   gis_.network().SetHostDown(primary, true);
 
@@ -84,6 +92,51 @@ TEST_F(ReplicationTest, AllReplicasDownFails) {
   }
   EXPECT_TRUE(
       gis_.Query("SELECT * FROM inventory").status().IsNetworkError());
+}
+
+TEST_F(ReplicationTest, CursorFailsOverOnPrimaryDown) {
+  const std::string sql = "SELECT id, qty FROM inventory";
+  auto full = gis_.Query(sql);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const std::string primary = PlannedReplica(sql);
+  ASSERT_FALSE(primary.empty());
+  gis_.network().SetHostDown(primary, true);
+
+  GlobalSystem::CursorOptions copts;
+  copts.chunk_rows = 1;
+  auto id = gis_.OpenCursor(sql, copts);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(gis_.cursors().Find(*id)->streaming);
+  RowBatch acc(full->batch.schema());
+  while (true) {
+    auto chunk = gis_.FetchChunk(*id);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    for (const auto& row : chunk->batch.rows()) acc.Append(row);
+    if (chunk->done) break;
+  }
+  EXPECT_EQ(acc.ToString(1 << 20), full->batch.ToString(1 << 20));
+}
+
+TEST_F(ReplicationTest, CursorReportsAllReplicasDownLikeQuery) {
+  // Two identical federations, so neither statement's failures steer
+  // the other's replica order (health, breakers).
+  GlobalSystem other;
+  Federate(&other);
+  for (const char* r : {"replica0", "replica1", "replica2"}) {
+    gis_.network().SetHostDown(r, true);
+    other.network().SetHostDown(r, true);
+  }
+  const std::string sql = "SELECT * FROM inventory";
+  const Status queried = gis_.Query(sql).status();
+  ASSERT_TRUE(queried.IsNetworkError()) << queried.ToString();
+  EXPECT_NE(queried.message().find("all replicas of 'inv' unreachable"),
+            std::string::npos)
+      << queried.ToString();
+
+  auto id = other.OpenCursor(sql);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const Status fetched = other.FetchChunk(*id).status();
+  EXPECT_EQ(fetched.ToString(), queried.ToString());
 }
 
 TEST_F(ReplicationTest, PartitionedViewDoesNotFailOver) {
