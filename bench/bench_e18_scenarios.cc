@@ -126,9 +126,10 @@ void TenantConcentration() {
   Rng rng(kSeed);
   const int64_t tenants = Scaled(int64_t{1000000}, int64_t{10000});
   const int draws = Scaled(20000, 2000);
+  const ZipfSampler zipf(tenants, 0.99);
   int64_t top1 = 0, top100 = 0;
   for (int i = 0; i < draws; ++i) {
-    const int64_t rank = rng.Zipf(tenants, 0.99);
+    const int64_t rank = zipf.Sample(rng);
     if (rank == 1) ++top1;
     if (rank <= 100) ++top100;
   }

@@ -111,9 +111,13 @@ BENCHMARK(BM_OrderedIndexRange)->Arg(100000)->Arg(1000000);
 void BM_IndexBuild(benchmark::State& state) {
   auto table = MakeTable(state.range(0));
   for (auto _ : state) {
+    // The table's own build: one scan of (row id, row) pairs.
     HashIndex index(0);
-    index.Build(table->rows());
-    benchmark::DoNotOptimize(index.built_row_count());
+    (void)table->Scan([&](size_t rid, const Row& row) {
+      index.Insert(row[0], rid);
+      return Status::OK();
+    });
+    benchmark::DoNotOptimize(index.Lookup(Value::Int(0)).size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -12,25 +12,25 @@ double Zeta(int64_t n, double theta) {
 }
 }  // namespace
 
-int64_t Rng::Zipf(int64_t n, double theta) {
-  if (n <= 1) return 1;
-  if (theta <= 0.0) return Uniform(1, n);
-  if (n != zipf_n_ || theta != zipf_theta_) {
-    zipf_n_ = n;
-    zipf_theta_ = theta;
-    zipf_zetan_ = Zeta(n, theta);
-    zipf_alpha_ = 1.0 / (1.0 - theta);
-    const double zeta2 = Zeta(2, theta);
-    zipf_eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-                (1.0 - zeta2 / zipf_zetan_);
-  }
-  const double u = NextDouble();
-  const double uz = u * zipf_zetan_;
+ZipfSampler::ZipfSampler(int64_t n, double theta) : n_(n), theta_(theta) {
+  if (n <= 1 || theta <= 0.0) return;
+  zetan_ = Zeta(n, theta);
+  alpha_ = 1.0 / (1.0 - theta);
+  const double zeta2 = Zeta(2, theta);
+  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+         (1.0 - zeta2 / zetan_);
+  half_pow_theta_ = std::pow(0.5, theta);
+}
+
+int64_t ZipfSampler::Sample(Rng& rng) const {
+  if (n_ <= 1) return 1;
+  if (theta_ <= 0.0) return rng.Uniform(1, n_);
+  const double u = rng.NextDouble();
+  const double uz = u * zetan_;
   if (uz < 1.0) return 1;
-  if (uz < 1.0 + std::pow(0.5, theta)) return 2;
-  return 1 + static_cast<int64_t>(static_cast<double>(n) *
-                                  std::pow(zipf_eta_ * u - zipf_eta_ + 1.0,
-                                           zipf_alpha_));
+  if (uz < 1.0 + half_pow_theta_) return 2;
+  return 1 + static_cast<int64_t>(static_cast<double>(n_) *
+                                  std::pow(eta_ * u - eta_ + 1.0, alpha_));
 }
 
 }  // namespace gisql

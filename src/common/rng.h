@@ -53,11 +53,6 @@ class Rng {
   /// \brief True with probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 
-  /// \brief Zipf-distributed rank in [1, n]; theta=0 is uniform.
-  /// Uses the classic rejection-free inverse-CDF approximation of
-  /// Gray et al. (SIGMOD '94) for skewed synthetic workloads.
-  int64_t Zipf(int64_t n, double theta);
-
   /// \brief Random lowercase ASCII string of the given length.
   std::string NextString(size_t len) {
     std::string s(len, 'a');
@@ -68,13 +63,27 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   uint64_t s_[4];
+};
 
-  // Cached Zipf normalization state (recomputed when (n, theta) changes).
-  int64_t zipf_n_ = -1;
-  double zipf_theta_ = -1.0;
-  double zipf_zetan_ = 0.0;
-  double zipf_alpha_ = 0.0;
-  double zipf_eta_ = 0.0;
+/// \brief Zipf-distributed ranks in [1, n]; theta=0 is uniform.
+/// Uses the classic rejection-free inverse-CDF approximation of
+/// Gray et al. (SIGMOD '94) for skewed synthetic workloads. The
+/// normalization (zeta(n), O(n)) is computed once here, so a workload
+/// builds one sampler per distribution and draws from it with any Rng.
+class ZipfSampler {
+ public:
+  ZipfSampler(int64_t n, double theta);
+
+  /// \brief One rank; n <= 1 returns 1 without drawing.
+  int64_t Sample(Rng& rng) const;
+
+ private:
+  int64_t n_;
+  double theta_;
+  double zetan_ = 0.0;
+  double alpha_ = 0.0;
+  double eta_ = 0.0;
+  double half_pow_theta_ = 0.0;  ///< 0.5^theta
 };
 
 }  // namespace gisql

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -10,6 +11,7 @@
 #include "exec/vectorized.h"
 #include "expr/binder.h"
 #include "expr/eval.h"
+#include "expr/index_range.h"
 #include "sql/parser.h"
 #include "wire/cursor.h"
 #include "wire/protocol.h"
@@ -657,7 +659,11 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
     // Transactional DELETE (numeric-id path only, checked above): the
     // predicate evaluates against rows visible at the transaction's
     // snapshot; matched rows are X-locked by key and their heap rids
-    // staged. Commit ends their versions at the commit timestamp.
+    // staged. Commit ends their versions at the commit timestamp. The
+    // rows are found the way a fragment read finds them: an ordered
+    // index probe when a conjunct bounds an indexed column, else a
+    // scan. Either way rids are staged (and locks taken) in ascending
+    // row-id order.
     GISQL_ASSIGN_OR_RETURN(TablePtr table,
                            engine_.GetTable(stmt.del->table_name));
     ExprPtr pred;
@@ -667,7 +673,7 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
     }
     staged.table = table;
     std::vector<Value> keys;
-    GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
+    auto stage = [&](size_t rid, const Row& row) -> Status {
       if (!table->VisibleAt(rid, snapshot_ts)) return Status::OK();
       bool match = true;
       if (pred != nullptr) {
@@ -678,7 +684,23 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
         keys.push_back(row.empty() ? Value::Int(0) : row[0]);
       }
       return Status::OK();
-    }));
+    };
+    const std::optional<IndexRange> range =
+        ChooseIndexRange(pred, table->OrderedIndexedColumns());
+    if (range) {
+      OrderedIndex* index =
+          table->GetOrderedIndex(static_cast<size_t>(range->column));
+      std::vector<size_t> rids = index->Range(
+          range->lo, range->lo_inclusive, range->hi, range->hi_inclusive);
+      std::sort(rids.begin(), rids.end());
+      for (size_t rid : rids) {
+        if (!table->VisibleAt(rid, snapshot_ts)) continue;
+        GISQL_ASSIGN_OR_RETURN(Row row, table->GetRow(rid));
+        GISQL_RETURN_NOT_OK(stage(rid, row));
+      }
+    } else {
+      GISQL_RETURN_NOT_OK(table->Scan(stage));
+    }
     // First committer wins: a row visible in our snapshot but already
     // ended at latest was deleted by a transaction that committed after
     // we began — retrying cannot help, the transaction must abort.
@@ -705,6 +727,17 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
   txn.seen.emplace(stmt_seq, sql);
   txn.writes.push_back(std::move(staged));
   return granted;
+}
+
+std::vector<size_t> ComponentSource::staged_delete_rids(
+    const std::string& txn_id) const {
+  std::vector<size_t> rids;
+  auto it = staged_.find(txn_id);
+  if (it == staged_.end()) return rids;
+  for (const auto& w : it->second.writes) {
+    rids.insert(rids.end(), w.delete_rids.begin(), w.delete_rids.end());
+  }
+  return rids;
 }
 
 Status ComponentSource::CommitTxn(const std::string& txn_id,
@@ -745,20 +778,12 @@ Status ComponentSource::AbortTxn(const std::string& txn_id) {
 }
 
 int64_t ComponentSource::GcToWatermark(uint64_t watermark) {
-  // A staged DELETE holds heap rids; compacting its table would shift
-  // them under the staged transaction. Such tables wait for the next
-  // watermark after that transaction resolves.
-  std::set<const Table*> pinned;
-  for (const auto& [id, txn] : staged_) {
-    for (const auto& w : txn.writes) {
-      if (!w.delete_rids.empty()) pinned.insert(w.table.get());
-    }
-  }
+  // Reclaiming frees slots in place, so the row ids a staged DELETE
+  // holds stay valid across it: every table is collected.
   int64_t total = 0;
   for (const auto& table_name : engine_.TableNames()) {
     Result<TablePtr> table = engine_.GetTable(table_name);
     if (!table.ok()) continue;
-    if (pinned.count(table->get())) continue;
     Result<int64_t> removed = (*table)->GcToWatermark(watermark);
     if (removed.ok()) total += *removed;
   }

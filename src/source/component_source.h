@@ -117,8 +117,9 @@ class ComponentSource : public RpcHandler {
                    uint64_t watermark = 0);
   Status AbortTxn(const std::string& txn_id);
 
-  /// \brief Physically reclaims versions dead at or before `watermark`
-  /// across every table; returns rows removed.
+  /// \brief Reclaims the slots of versions dead at or before
+  /// `watermark` across every table; returns rows removed. Row ids
+  /// never move, so staged deletes stay valid across it.
   int64_t GcToWatermark(uint64_t watermark);
 
   /// \brief This source's lock table (tests/monitoring).
@@ -133,6 +134,9 @@ class ComponentSource : public RpcHandler {
     for (const auto& [id, txn] : staged_) ids.push_back(id);
     return ids;
   }
+  /// \brief Row ids transaction `txn_id` has staged for deletion, in
+  /// staging order (tests/monitoring).
+  std::vector<size_t> staged_delete_rids(const std::string& txn_id) const;
   /// @}
 
   /// \name Snapshot persistence
@@ -234,7 +238,8 @@ class ComponentSource : public RpcHandler {
 
   /// One request at a time per source: the mediator may dispatch
   /// fragments to different sources from worker threads, and a source's
-  /// engine (lazy index builds, stats caches) is single-threaded state.
+  /// engine (index builds on first use, stats caches) is
+  /// single-threaded state.
   std::mutex request_mu_;
 };
 

@@ -1,6 +1,7 @@
 #include "storage/btree.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace gisql {
 
@@ -136,6 +137,146 @@ Status BPlusTree::Insert(const Value& key, size_t row_id) {
   return Status::OK();
 }
 
+Status BPlusTree::Erase(const Value& key, size_t row_id) {
+  if (root_ == nullptr || key.is_null()) {
+    return Status::NotFound("no index entry for row id ", row_id);
+  }
+  // Descend as Range does: lower_bound routing reaches the leftmost leaf
+  // that can hold `key`; the entry may sit further along the chain when
+  // a duplicate run spans leaves.
+  Node* node = root_;
+  while (!node->is_leaf) {
+    auto* internal = static_cast<InternalNode*>(node);
+    const size_t idx =
+        std::lower_bound(internal->keys.begin(), internal->keys.end(), key,
+                         ValueLess) -
+        internal->keys.begin();
+    node = internal->children[idx];
+  }
+  for (auto* leaf = static_cast<LeafNode*>(node); leaf != nullptr;
+       leaf = leaf->next) {
+    for (size_t i = 0; i < leaf->keys.size(); ++i) {
+      const int c = leaf->keys[i].Compare(key);
+      if (c < 0) continue;
+      if (c > 0) return Status::NotFound("no index entry for row id ", row_id);
+      if (leaf->rids[i] != row_id) continue;
+      leaf->keys.erase(leaf->keys.begin() + static_cast<std::ptrdiff_t>(i));
+      leaf->rids.erase(leaf->rids.begin() + static_cast<std::ptrdiff_t>(i));
+      --size_;
+      Rebalance(leaf);
+      return Status::OK();
+    }
+  }
+  return Status::NotFound("no index entry for row id ", row_id);
+}
+
+void BPlusTree::Rebalance(Node* node) {
+  if (node == root_) {
+    if (node->is_leaf) {
+      if (static_cast<LeafNode*>(node)->keys.empty()) {
+        delete node;
+        root_ = nullptr;
+        height_ = 0;
+      }
+    } else if (auto* internal = static_cast<InternalNode*>(node);
+               internal->keys.empty()) {
+      // A root with one child hands the root down a level.
+      root_ = internal->children.front();
+      root_->parent = nullptr;
+      delete internal;
+      --height_;
+    }
+    return;
+  }
+  InternalNode* parent = node->parent;
+  const size_t idx = static_cast<size_t>(
+      std::find(parent->children.begin(), parent->children.end(), node) -
+      parent->children.begin());
+  Node* left = idx > 0 ? parent->children[idx - 1] : nullptr;
+  Node* right =
+      idx + 1 < parent->children.size() ? parent->children[idx + 1] : nullptr;
+
+  if (node->is_leaf) {
+    auto* leaf = static_cast<LeafNode*>(node);
+    if (leaf->keys.size() >= min_keys()) return;
+    auto* l = static_cast<LeafNode*>(left);
+    auto* r = static_cast<LeafNode*>(right);
+    if (l != nullptr && l->keys.size() > min_keys()) {
+      leaf->keys.insert(leaf->keys.begin(), std::move(l->keys.back()));
+      leaf->rids.insert(leaf->rids.begin(), l->rids.back());
+      l->keys.pop_back();
+      l->rids.pop_back();
+      parent->keys[idx - 1] = leaf->keys.front();
+      return;
+    }
+    if (r != nullptr && r->keys.size() > min_keys()) {
+      leaf->keys.push_back(std::move(r->keys.front()));
+      leaf->rids.push_back(r->rids.front());
+      r->keys.erase(r->keys.begin());
+      r->rids.erase(r->rids.begin());
+      parent->keys[idx] = r->keys.front();
+      return;
+    }
+    // Merge with a sibling: the right node of the pair folds into the
+    // left one and leaves the chain.
+    const size_t sep = l != nullptr ? idx - 1 : idx;
+    LeafNode* into = l != nullptr ? l : leaf;
+    LeafNode* from = l != nullptr ? leaf : r;
+    into->keys.insert(into->keys.end(),
+                      std::make_move_iterator(from->keys.begin()),
+                      std::make_move_iterator(from->keys.end()));
+    into->rids.insert(into->rids.end(), from->rids.begin(), from->rids.end());
+    into->next = from->next;
+    parent->keys.erase(parent->keys.begin() + static_cast<std::ptrdiff_t>(sep));
+    parent->children.erase(parent->children.begin() +
+                           static_cast<std::ptrdiff_t>(sep + 1));
+    delete from;
+  } else {
+    auto* internal = static_cast<InternalNode*>(node);
+    if (internal->keys.size() >= min_keys()) return;
+    auto* l = static_cast<InternalNode*>(left);
+    auto* r = static_cast<InternalNode*>(right);
+    if (l != nullptr && l->keys.size() > min_keys()) {
+      // Rotate right through the parent separator.
+      internal->keys.insert(internal->keys.begin(),
+                            std::move(parent->keys[idx - 1]));
+      internal->children.insert(internal->children.begin(),
+                                l->children.back());
+      l->children.back()->parent = internal;
+      parent->keys[idx - 1] = std::move(l->keys.back());
+      l->keys.pop_back();
+      l->children.pop_back();
+      return;
+    }
+    if (r != nullptr && r->keys.size() > min_keys()) {
+      // Rotate left through the parent separator.
+      internal->keys.push_back(std::move(parent->keys[idx]));
+      internal->children.push_back(r->children.front());
+      r->children.front()->parent = internal;
+      parent->keys[idx] = std::move(r->keys.front());
+      r->keys.erase(r->keys.begin());
+      r->children.erase(r->children.begin());
+      return;
+    }
+    // Merge: left keys, the parent separator, right keys.
+    const size_t sep = l != nullptr ? idx - 1 : idx;
+    InternalNode* into = l != nullptr ? l : internal;
+    InternalNode* from = l != nullptr ? internal : r;
+    into->keys.push_back(std::move(parent->keys[sep]));
+    into->keys.insert(into->keys.end(),
+                      std::make_move_iterator(from->keys.begin()),
+                      std::make_move_iterator(from->keys.end()));
+    for (Node* c : from->children) c->parent = into;
+    into->children.insert(into->children.end(), from->children.begin(),
+                          from->children.end());
+    parent->keys.erase(parent->keys.begin() + static_cast<std::ptrdiff_t>(sep));
+    parent->children.erase(parent->children.begin() +
+                           static_cast<std::ptrdiff_t>(sep + 1));
+    delete from;
+  }
+  Rebalance(parent);
+}
+
 std::vector<size_t> BPlusTree::Lookup(const Value& key) const {
   return Range(key, true, key, true);
 }
@@ -203,8 +344,7 @@ Status BPlusTree::ValidateNode(const Node* node, const Value* lo,
         return Status::Internal("leaf keys out of order");
       }
     }
-    if (node != root_ &&
-        static_cast<int>(leaf->keys.size()) < fanout_ / 3) {
+    if (node != root_ && leaf->keys.size() < min_keys()) {
       return Status::Internal("underfull leaf: ", leaf->keys.size(),
                               " keys with fanout ", fanout_);
     }
@@ -214,8 +354,7 @@ Status BPlusTree::ValidateNode(const Node* node, const Value* lo,
   if (internal->children.size() != internal->keys.size() + 1) {
     return Status::Internal("internal child count mismatch");
   }
-  if (node != root_ &&
-      static_cast<int>(internal->keys.size()) < fanout_ / 3) {
+  if (node != root_ && internal->keys.size() < min_keys()) {
     return Status::Internal("underfull internal node");
   }
   for (size_t i = 0; i < internal->keys.size(); ++i) {

@@ -3,9 +3,10 @@
 /// ordered-index structure of the component-system storage engine.
 ///
 /// Duplicate keys are allowed (secondary-index semantics). Leaves are
-/// linked for range scans. The tree is insert-only: tables rebuild
-/// their indexes after deletions, matching the engine's
-/// rebuild-on-write index policy.
+/// linked for range scans. A table keeps its tree current in place:
+/// every appended row inserts its (key, row id) entry and every
+/// reclaimed slot erases its own, rebalancing by borrow or merge so the
+/// fill-factor invariants survive any insert/erase sequence.
 
 #pragma once
 
@@ -29,6 +30,11 @@ class BPlusTree {
   /// \brief Inserts one (key, row id) pair. NULL keys are rejected
   /// (callers index only non-NULL values, per SQL index semantics).
   Status Insert(const Value& key, size_t row_id);
+
+  /// \brief Removes the one entry (key, row id); NotFound when absent.
+  /// An underfull node borrows from a sibling or merges with it, and a
+  /// root left with a single child hands the root to that child.
+  Status Erase(const Value& key, size_t row_id);
 
   /// \brief Row ids whose key compares equal to `key`, in insertion
   /// order among duplicates.
@@ -61,6 +67,10 @@ class BPlusTree {
   /// Splits `leaf` and returns the (separator, new node) to insert into
   /// the parent.
   void InsertIntoParent(Node* node, Value separator, Node* sibling);
+  /// Restores the minimum fill of `node` after an erase, recursing
+  /// into the parent when a merge leaves it underfull.
+  void Rebalance(Node* node);
+  size_t min_keys() const { return static_cast<size_t>(fanout_ / 3); }
 
   Status ValidateNode(const Node* node, const Value* lo,
                       const Value* hi, int depth) const;

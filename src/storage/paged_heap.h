@@ -1,12 +1,15 @@
 /// \file paged_heap.h
-/// \brief A heap file of row slots over buffer-pool pages.
+/// \brief A slot-stable heap file of rows over buffer-pool pages.
 ///
-/// Rows are wire-encoded back to back into fixed-size pages; an
-/// in-memory page directory (page ids + per-page row counts) maps a
-/// row id to its (page, slot). Every access goes through the buffer
-/// pool, so point reads and scans charge honest page hits/misses and
-/// virtual disk time. The heap is append-oriented: deletions rebuild
-/// the file (Replace), matching the engine's rebuild-on-write policy.
+/// Rows are wire-encoded back to back into fixed-size pages. Each page
+/// owns a contiguous run of row ids, assigned once at append, and an
+/// in-memory page directory maps a row id to its (page, slot). Row ids
+/// never move: freeing a slot rewrites only the page that holds it (the
+/// page keeps its surviving rows, the directory marks the slot free),
+/// and a page left with no live slot is deleted back to the pool. Freed
+/// row ids are not reused. Every access goes through the buffer pool,
+/// so point reads and scans charge honest page hits/misses and virtual
+/// disk time.
 
 #pragma once
 
@@ -34,45 +37,69 @@ class PagedHeap {
   /// pool cannot grow (global memory budget).
   Result<size_t> Append(const Row& row);
 
-  /// \brief Bulk append (page-at-a-time; one pin per filled page).
+  /// \brief Bulk append; the rows take the ids end_rid(), end_rid()+1,
+  /// ... On failure the prefix that fit stays appended.
   Status AppendBatch(const std::vector<Row>& rows);
 
-  /// \brief Point read of row `rid` through the buffer pool.
+  /// \brief Point read of row `rid` through the buffer pool. NotFound
+  /// for a freed slot.
   Result<Row> Get(size_t rid);
 
-  /// \brief Full scan in row-id order, one page pin per page. The
-  /// callback may return a non-OK status to stop the scan.
+  /// \brief Scan of the live slots in row-id order, one page pin per
+  /// page. The callback may return a non-OK status to stop the scan.
   Status Scan(const std::function<Status(size_t rid, const Row& row)>& fn);
 
-  /// \brief Replaces the whole file contents (delete-rebuild path).
-  Status Replace(const std::vector<Row>& rows);
+  /// \brief Frees the live slots `rids` (ascending): each page holding
+  /// one is fetched once and rewritten with its surviving rows, or
+  /// deleted when none survives. `on_free` sees every freed row before
+  /// it goes.
+  Status Free(const std::vector<size_t>& rids,
+              const std::function<void(size_t rid, const Row& row)>& on_free);
 
-  int64_t num_rows() const { return total_rows_; }
-  int64_t num_pages() const { return static_cast<int64_t>(page_ids_.size()); }
+  /// \brief Live slots.
+  int64_t num_rows() const { return live_rows_; }
+  /// \brief One past the highest row id ever assigned.
+  size_t end_rid() const { return end_rid_; }
+  int64_t num_pages() const { return static_cast<int64_t>(pages_.size()); }
 
  private:
-  /// Decodes every row of page `page_index` from `bytes`.
+  /// Directory entry of one page.
+  struct PageEntry {
+    uint64_t page_id = 0;
+    size_t first_rid = 0;  ///< the page owns [first_rid, first_rid + slots)
+    uint32_t slots = 0;
+    uint32_t live = 0;
+    std::vector<bool> freed;  ///< per slot; empty while none is freed
+
+    bool is_free(size_t slot) const { return !freed.empty() && freed[slot]; }
+  };
+
+  /// Index of the page holding live row `rid`, or pages_.size() when
+  /// its slot was freed (or its page, emptied, was deleted).
+  size_t PageOf(size_t rid) const;
+
+  /// Decodes the live rows of page `page_index` from `bytes`.
   Result<std::vector<Row>> DecodePage(size_t page_index,
                                       const std::vector<uint8_t>& bytes) const;
 
-  /// Rows of page `page_index`, fetched (counting hit/miss) and decoded
-  /// — with a one-page decode memo so consecutive probes of the same
-  /// page skip the re-decode CPU, never the pool accounting.
+  /// Live rows of page `page_index` in slot order, fetched (counting
+  /// hit/miss) and decoded — with a one-page decode memo so consecutive
+  /// probes of the same page skip the re-decode CPU, never the pool
+  /// accounting.
   Result<const std::vector<Row>*> PageRows(size_t page_index);
 
   void DropAllPages();
 
   BufferPoolPtr pool_;
   SchemaPtr schema_;
-  std::vector<uint64_t> page_ids_;
-  std::vector<uint32_t> page_row_counts_;
-  std::vector<size_t> page_first_rid_;  ///< prefix sums over row counts
-  int64_t total_rows_ = 0;
+  std::vector<PageEntry> pages_;  ///< ascending first_rid
+  int64_t live_rows_ = 0;
+  size_t end_rid_ = 0;
   uint64_t epoch_ = 0;  ///< bumped on every mutation (invalidates memo)
 
   // Decode memo for the most recently read page.
   bool memo_valid_ = false;
-  size_t memo_page_ = 0;
+  uint64_t memo_page_id_ = 0;
   uint64_t memo_epoch_ = 0;
   std::vector<Row> memo_rows_;
 };

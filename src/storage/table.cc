@@ -7,14 +7,20 @@
 
 namespace gisql {
 
-void HashIndex::Build(const std::vector<Row>& rows) {
-  map_.clear();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][column_];
-    if (v.is_null()) continue;
-    map_[v].push_back(i);
-  }
-  built_row_count_ = rows.size();
+void HashIndex::Insert(const Value& key, size_t rid) {
+  if (key.is_null()) return;
+  map_[key].push_back(rid);
+}
+
+void HashIndex::Clear() { map_.clear(); }
+
+void HashIndex::Erase(const Value& key, size_t rid) {
+  if (key.is_null()) return;
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  std::vector<size_t>& rids = it->second;
+  rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
+  if (rids.empty()) map_.erase(it);
 }
 
 const std::vector<size_t>& HashIndex::Lookup(const Value& key) const {
@@ -24,15 +30,13 @@ const std::vector<size_t>& HashIndex::Lookup(const Value& key) const {
   return it == map_.end() ? kEmpty : it->second;
 }
 
-void OrderedIndex::Build(const std::vector<Row>& rows) {
-  tree_.Clear();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][column_];
-    if (v.is_null()) continue;
-    // Insert cannot fail for non-NULL keys.
-    (void)tree_.Insert(v, i);
-  }
-  built_row_count_ = rows.size();
+void OrderedIndex::Insert(const Value& key, size_t rid) {
+  // Insert fails only for NULL keys, which are not indexed.
+  if (!key.is_null()) (void)tree_.Insert(key, rid);
+}
+
+void OrderedIndex::Erase(const Value& key, size_t rid) {
+  if (!key.is_null()) (void)tree_.Erase(key, rid);
 }
 
 std::vector<size_t> OrderedIndex::Range(const Value& lo, bool lo_inclusive,
@@ -87,116 +91,104 @@ Result<Row> Table::ValidateRow(Row row) const {
   return row;
 }
 
-void Table::SyncVersions(uint64_t begin_ts) {
-  versions_.resize(static_cast<size_t>(heap_.num_rows()),
-                   RowVersion{begin_ts, kMaxTimestamp});
+namespace {
+/// Version of a reclaimed slot: begin after end, so no snapshot sees it.
+constexpr RowVersion kReclaimedVersion{kMaxTimestamp, 0};
+}  // namespace
+
+Status Table::InsertVersioned(std::vector<Row> rows, uint64_t begin_ts) {
+  // Versions and built indexes cover every row that made it into the
+  // heap, even when the append stops early.
+  const size_t first = heap_.end_rid();
+  const Status st = heap_.AppendBatch(rows);
+  versions_.resize(heap_.end_rid(), RowVersion{begin_ts, kMaxTimestamp});
+  for (size_t rid = first; rid < heap_.end_rid(); ++rid) {
+    const Row& row = rows[rid - first];
+    for (auto& idx : hash_indexes_) {
+      if (idx->built) idx->index.Insert(row[idx->index.column()], rid);
+    }
+    for (auto& idx : ordered_indexes_) {
+      if (idx->built) idx->index.Insert(row[idx->index.column()], rid);
+    }
+  }
+  stats_valid_ = false;
+  return st;
 }
 
 Status Table::Insert(Row row) {
   GISQL_ASSIGN_OR_RETURN(Row validated, ValidateRow(std::move(row)));
-  GISQL_RETURN_NOT_OK(heap_.Append(validated).status());
-  SyncVersions(0);
-  ++epoch_;
-  stats_valid_ = false;
-  return Status::OK();
+  std::vector<Row> one;
+  one.push_back(std::move(validated));
+  return InsertVersioned(std::move(one), 0);
 }
 
 Status Table::InsertUnchecked(std::vector<Row> rows) {
-  GISQL_RETURN_NOT_OK(heap_.AppendBatch(rows));
-  SyncVersions(0);
-  ++epoch_;
-  stats_valid_ = false;
-  return Status::OK();
-}
-
-Status Table::InsertVersioned(std::vector<Row> rows, uint64_t begin_ts) {
-  GISQL_RETURN_NOT_OK(heap_.AppendBatch(rows));
-  SyncVersions(begin_ts);
-  ++epoch_;
-  stats_valid_ = false;
-  return Status::OK();
+  return InsertVersioned(std::move(rows), 0);
 }
 
 void Table::MarkDeleted(size_t rid, uint64_t end_ts) {
-  if (rid >= versions_.size()) SyncVersions(0);
   if (rid >= versions_.size()) return;
   if (versions_[rid].end_ts != kMaxTimestamp) return;  // already dead
   versions_[rid].end_ts = end_ts;
+  ended_.push_back(rid);
   // The heap and the indexes are untouched (the row is still
   // physically present); only statistics go stale.
   stats_valid_ = false;
 }
 
 bool Table::VisibleAt(size_t rid, uint64_t snapshot_ts) const {
-  if (rid >= versions_.size()) {
-    // Rows appended before any version bookkeeping existed: live,
-    // born at 0.
-    return true;
-  }
+  if (rid >= versions_.size()) return false;
   const RowVersion& v = versions_[rid];
   if (snapshot_ts == 0) return v.end_ts == kMaxTimestamp;
   return v.begin_ts <= snapshot_ts && snapshot_ts < v.end_ts;
 }
 
 RowVersion Table::VersionOf(size_t rid) const {
-  return rid < versions_.size() ? versions_[rid] : RowVersion{};
+  return rid < versions_.size() ? versions_[rid] : kReclaimedVersion;
+}
+
+Status Table::Reclaim(const std::vector<size_t>& rids) {
+  stats_valid_ = false;
+  return heap_.Free(rids, [&](size_t rid, const Row& row) {
+    for (auto& idx : hash_indexes_) {
+      if (idx->built) idx->index.Erase(row[idx->index.column()], rid);
+    }
+    for (auto& idx : ordered_indexes_) {
+      if (idx->built) idx->index.Erase(row[idx->index.column()], rid);
+    }
+    versions_[rid] = kReclaimedVersion;
+  });
 }
 
 Result<int64_t> Table::GcToWatermark(uint64_t watermark) {
-  SyncVersions(0);
-  // Fast path on the in-memory metadata: no reclaimable version, no
-  // page access.
-  bool any_dead = false;
-  for (const RowVersion& v : versions_) {
-    if (v.end_ts != kMaxTimestamp && v.end_ts <= watermark) {
-      any_dead = true;
-      break;
-    }
-  }
-  if (!any_dead) return 0;
-  int64_t removed = 0;
-  std::vector<Row> kept;
-  std::vector<RowVersion> kept_versions;
-  kept.reserve(versions_.size());
-  kept_versions.reserve(versions_.size());
-  GISQL_RETURN_NOT_OK(heap_.Scan([&](size_t rid, const Row& row) {
+  // Only ended versions are candidates, so a table with none reclaims
+  // nothing without touching any page.
+  std::vector<size_t> dead;
+  std::vector<size_t> kept;
+  for (size_t rid : ended_) {
     const RowVersion& v = versions_[rid];
-    if (v.end_ts != kMaxTimestamp && v.end_ts <= watermark) {
-      ++removed;
-    } else {
-      kept.push_back(row);
-      kept_versions.push_back(v);
-    }
-    return Status::OK();
-  }));
-  GISQL_RETURN_NOT_OK(heap_.Replace(kept));
-  versions_ = std::move(kept_versions);
-  ++epoch_;
-  stats_valid_ = false;
-  return removed;
+    if (v.begin_ts > v.end_ts) continue;  // reclaimed by a Delete
+    (v.end_ts <= watermark ? dead : kept).push_back(rid);
+  }
+  if (dead.empty()) {
+    ended_ = std::move(kept);
+    return 0;
+  }
+  std::sort(dead.begin(), dead.end());
+  GISQL_RETURN_NOT_OK(Reclaim(dead));
+  ended_ = std::move(kept);
+  return static_cast<int64_t>(dead.size());
 }
 
 Result<int64_t> Table::Delete(const Expr& predicate) {
-  SyncVersions(0);
-  int64_t removed = 0;
-  std::vector<Row> kept;
-  std::vector<RowVersion> kept_versions;
-  kept.reserve(static_cast<size_t>(heap_.num_rows()));
+  std::vector<size_t> matched;
   GISQL_RETURN_NOT_OK(heap_.Scan([&](size_t rid, const Row& row) {
     GISQL_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, row));
-    if (match) {
-      ++removed;
-    } else {
-      kept.push_back(row);
-      kept_versions.push_back(versions_[rid]);
-    }
+    if (match) matched.push_back(rid);
     return Status::OK();
   }));
-  GISQL_RETURN_NOT_OK(heap_.Replace(kept));
-  versions_ = std::move(kept_versions);
-  ++epoch_;
-  stats_valid_ = false;
-  return removed;
+  if (!matched.empty()) GISQL_RETURN_NOT_OK(Reclaim(matched));
+  return static_cast<int64_t>(matched.size());
 }
 
 Status Table::CreateHashIndex(size_t column) {
@@ -205,13 +197,12 @@ Status Table::CreateHashIndex(size_t column) {
                                    " out of range for table '", name_, "'");
   }
   for (const auto& idx : hash_indexes_) {
-    if (idx->column() == column) {
+    if (idx->index.column() == column) {
       return Status::AlreadyExists("hash index on column ", column,
                                    " already exists");
     }
   }
-  hash_indexes_.push_back(std::make_unique<HashIndex>(column));
-  hash_epochs_.push_back(epoch_ - 1);  // force first build
+  hash_indexes_.push_back(std::make_unique<DeclaredIndex<HashIndex>>(column));
   return Status::OK();
 }
 
@@ -221,38 +212,42 @@ Status Table::CreateOrderedIndex(size_t column) {
                                    " out of range for table '", name_, "'");
   }
   for (const auto& idx : ordered_indexes_) {
-    if (idx->column() == column) {
+    if (idx->index.column() == column) {
       return Status::AlreadyExists("ordered index on column ", column,
                                    " already exists");
     }
   }
-  ordered_indexes_.push_back(std::make_unique<OrderedIndex>(column));
-  ordered_epochs_.push_back(epoch_ - 1);  // force first build
+  ordered_indexes_.push_back(
+      std::make_unique<DeclaredIndex<OrderedIndex>>(column));
   return Status::OK();
 }
 
+template <typename Index>
+Index* Table::Built(DeclaredIndex<Index>* declared) {
+  if (!declared->built) {
+    // One scan through the pool; entries carry row ids, not positions.
+    // Best-effort like rows(): an out-of-budget pool leaves the prefix
+    // it reached, and the index stays unbuilt so the next use rescans.
+    Index& index = declared->index;
+    index.Clear();
+    declared->built = heap_.Scan([&](size_t rid, const Row& row) {
+      index.Insert(row[index.column()], rid);
+      return Status::OK();
+    }).ok();
+  }
+  return &declared->index;
+}
+
 HashIndex* Table::GetHashIndex(size_t column) {
-  for (size_t i = 0; i < hash_indexes_.size(); ++i) {
-    if (hash_indexes_[i]->column() == column) {
-      if (hash_epochs_[i] != epoch_) {
-        hash_indexes_[i]->Build(rows());  // full scan through the pool
-        hash_epochs_[i] = epoch_;
-      }
-      return hash_indexes_[i].get();
-    }
+  for (auto& idx : hash_indexes_) {
+    if (idx->index.column() == column) return Built(idx.get());
   }
   return nullptr;
 }
 
 OrderedIndex* Table::GetOrderedIndex(size_t column) {
-  for (size_t i = 0; i < ordered_indexes_.size(); ++i) {
-    if (ordered_indexes_[i]->column() == column) {
-      if (ordered_epochs_[i] != epoch_) {
-        ordered_indexes_[i]->Build(rows());  // full scan through the pool
-        ordered_epochs_[i] = epoch_;
-      }
-      return ordered_indexes_[i].get();
-    }
+  for (auto& idx : ordered_indexes_) {
+    if (idx->index.column() == column) return Built(idx.get());
   }
   return nullptr;
 }
@@ -261,7 +256,7 @@ std::vector<int64_t> Table::HashIndexedColumns() const {
   std::vector<int64_t> cols;
   cols.reserve(hash_indexes_.size());
   for (const auto& idx : hash_indexes_) {
-    cols.push_back(static_cast<int64_t>(idx->column()));
+    cols.push_back(static_cast<int64_t>(idx->index.column()));
   }
   std::sort(cols.begin(), cols.end());
   return cols;
@@ -271,7 +266,7 @@ std::vector<int64_t> Table::OrderedIndexedColumns() const {
   std::vector<int64_t> cols;
   cols.reserve(ordered_indexes_.size());
   for (const auto& idx : ordered_indexes_) {
-    cols.push_back(static_cast<int64_t>(idx->column()));
+    cols.push_back(static_cast<int64_t>(idx->index.column()));
   }
   std::sort(cols.begin(), cols.end());
   return cols;

@@ -4,8 +4,13 @@
 ///
 /// Rows live in buffer-pool pages (storage/paged_heap.h), so every
 /// access — point read, scan, index build — charges page hits/misses
-/// and virtual disk time. Indexes map values to row ids and are rebuilt
-/// lazily after writes; row ids are positions in the heap file.
+/// and virtual disk time. Row ids are slot-stable: a row keeps its id
+/// until its slot is reclaimed (watermark GC or an administrative
+/// DELETE), and reclaiming rewrites only the pages holding the freed
+/// slots. Indexes map values to row ids; a declared index is built by
+/// one heap scan on first use and is then kept current — appends insert
+/// their row ids, reclaimed slots erase theirs — so a write never
+/// invalidates a whole index.
 
 #pragma once
 
@@ -41,19 +46,24 @@ struct RowVersion {
   uint64_t end_ts = kMaxTimestamp;
 };
 
-/// \brief Equality index: value → row ids. Rebuilt lazily after writes.
+/// \brief Equality index: value → row ids (ascending among equal
+/// values when entries arrive in row-id order).
 class HashIndex {
  public:
   explicit HashIndex(size_t column) : column_(column) {}
 
   size_t column() const { return column_; }
 
-  void Build(const std::vector<Row>& rows);
+  /// \brief Adds (key, rid); NULL keys are not indexed.
+  void Insert(const Value& key, size_t rid);
+
+  /// \brief Removes (key, rid) if present.
+  void Erase(const Value& key, size_t rid);
+
+  void Clear();
 
   /// \brief Row ids whose indexed column equals `key` (never NULL rows).
   const std::vector<size_t>& Lookup(const Value& key) const;
-
-  size_t built_row_count() const { return built_row_count_; }
 
  private:
   struct ValueHash {
@@ -65,7 +75,6 @@ class HashIndex {
     }
   };
   size_t column_;
-  size_t built_row_count_ = 0;
   std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq> map_;
 };
 
@@ -76,25 +85,28 @@ class OrderedIndex {
 
   size_t column() const { return column_; }
 
-  void Build(const std::vector<Row>& rows);
+  /// \brief Adds (key, rid); NULL keys are not indexed.
+  void Insert(const Value& key, size_t rid);
+
+  /// \brief Removes (key, rid) if present.
+  void Erase(const Value& key, size_t rid);
+
+  void Clear() { tree_.Clear(); }
 
   /// \brief Row ids with lo <= col <= hi (either bound may be NULL =
   /// unbounded); `lo_inclusive` / `hi_inclusive` control openness.
   std::vector<size_t> Range(const Value& lo, bool lo_inclusive,
                             const Value& hi, bool hi_inclusive) const;
 
-  size_t built_row_count() const { return built_row_count_; }
-
   /// \brief The underlying tree (exposed for invariant checks in tests).
   const BPlusTree& tree() const { return tree_; }
 
  private:
   size_t column_;
-  size_t built_row_count_ = 0;
   BPlusTree tree_;
 };
 
-/// \brief An append-oriented page-backed heap table.
+/// \brief A slot-stable page-backed heap table.
 class Table {
  public:
   /// \param pool buffer pool the heap pages live in; when null, the
@@ -104,18 +116,22 @@ class Table {
 
   const std::string& name() const { return name_; }
   const SchemaPtr& schema() const { return schema_; }
+  /// \brief Rows physically present (every unreclaimed version).
   int64_t num_rows() const { return heap_.num_rows(); }
 
-  /// \brief Materializes every row through the buffer pool (charging
-  /// page accesses). Best-effort: an out-of-budget pool yields the
-  /// prefix that fit — engine paths use Scan()/GetRow() instead, which
-  /// surface the error.
+  /// \brief Materializes every present row in row-id order through the
+  /// buffer pool (charging page accesses). Once slots are reclaimed a
+  /// row's position here is not its row id. Best-effort: an
+  /// out-of-budget pool yields the prefix that fit — engine paths use
+  /// Scan()/GetRow() instead, which surface the error.
   std::vector<Row> rows();
 
-  /// \brief Point read of row `rid` through the buffer pool.
+  /// \brief Point read of row `rid` through the buffer pool; NotFound
+  /// once its slot was reclaimed.
   Result<Row> GetRow(size_t rid) { return heap_.Get(rid); }
 
-  /// \brief Full scan in row-id order, one page pin per page.
+  /// \brief Scan of the present rows in row-id order, one page pin per
+  /// page.
   Status Scan(const std::function<Status(size_t, const Row&)>& fn) {
     return heap_.Scan(fn);
   }
@@ -125,7 +141,8 @@ class Table {
   Result<Row> ValidateRow(Row row) const;
 
   /// \brief Validates arity and types (applying implicit casts), then
-  /// appends. Invalidates indexes and cached statistics.
+  /// appends. Built indexes take the new row id; cached statistics are
+  /// invalidated.
   Status Insert(Row row);
 
   /// \brief Bulk append without per-row type validation (trusted loader
@@ -133,17 +150,19 @@ class Table {
   /// pool cannot grow.
   Status InsertUnchecked(std::vector<Row> rows);
 
-  /// \brief Deletes rows matching `predicate`; returns count removed.
+  /// \brief Administrative delete: reclaims the slots of every present
+  /// row matching `predicate`, whatever its version; returns the count.
   Result<int64_t> Delete(const Expr& predicate);
 
   /// \name MVCC version metadata
   ///
-  /// Every heap row carries a [begin_ts, end_ts) lifetime in a
-  /// heap-parallel in-memory vector (timestamps are rebuilt state, not
-  /// page payload — the on-page row encoding is unchanged). Writes via
-  /// Insert/InsertUnchecked are born at 0 (visible everywhere);
+  /// Every row id carries a [begin_ts, end_ts) lifetime in an
+  /// in-memory vector indexed by row id (timestamps are in-memory state,
+  /// not page payload — the on-page row encoding is unchanged). Writes
+  /// via Insert/InsertUnchecked are born at 0 (visible everywhere);
   /// committed transactional writes arrive through InsertVersioned /
-  /// MarkDeleted stamped with the mediator's commit timestamp.
+  /// MarkDeleted stamped with the mediator's commit timestamp. A
+  /// reclaimed slot reads as {kMaxTimestamp, 0}: visible to no snapshot.
   /// @{
 
   /// \brief Bulk append stamped with begin_ts (commit path of a global
@@ -164,23 +183,26 @@ class Table {
   /// \brief The version pair of row `rid` (tests/monitoring).
   RowVersion VersionOf(size_t rid) const;
 
-  /// \brief Physically removes versions dead at or before `watermark`
-  /// (no present or future snapshot can see them); returns the count
-  /// reclaimed. A table with no such version returns 0 without
-  /// touching any page.
+  /// \brief Reclaims the slots of versions dead at or before
+  /// `watermark` (no present or future snapshot can see them), in
+  /// place: other row ids are untouched, so staged deletes stay valid.
+  /// Returns the count reclaimed. A table with no such version returns
+  /// 0 without touching any page.
   Result<int64_t> GcToWatermark(uint64_t watermark);
   /// @}
 
-  /// \brief Declares a hash index on `column` (built lazily).
+  /// \brief Declares a hash index on `column` (built on first use).
   Status CreateHashIndex(size_t column);
 
-  /// \brief Declares an ordered index on `column` (built lazily).
+  /// \brief Declares an ordered index on `column` (built on first use).
   Status CreateOrderedIndex(size_t column);
 
-  /// \brief The hash index on `column`, freshly built, or nullptr.
+  /// \brief The hash index on `column` (built now if never used), or
+  /// nullptr when none is declared.
   HashIndex* GetHashIndex(size_t column);
 
-  /// \brief The ordered index on `column`, freshly built, or nullptr.
+  /// \brief The ordered index on `column` (built now if never used), or
+  /// nullptr when none is declared.
   OrderedIndex* GetOrderedIndex(size_t column);
 
   /// \brief Columns with a declared hash / ordered index (sorted).
@@ -194,22 +216,35 @@ class Table {
   BufferPoolManager& pool() { return *pool_; }
 
  private:
-  /// Grows versions_ with {begin_ts, live} entries to match the heap
-  /// after an append.
-  void SyncVersions(uint64_t begin_ts);
+  /// A declared index: empty until first use, when one heap scan
+  /// fills it; current from then on.
+  template <typename Index>
+  struct DeclaredIndex {
+    explicit DeclaredIndex(size_t column) : index(column) {}
+    Index index;
+    bool built = false;
+  };
+
+  /// Frees the slots `rids` (ascending), erasing their index entries
+  /// and marking their versions reclaimed.
+  Status Reclaim(const std::vector<size_t>& rids);
+
+  /// The declared index, filled on its first use from one heap scan of
+  /// (rid, row) pairs.
+  template <typename Index>
+  Index* Built(DeclaredIndex<Index>* declared);
 
   std::string name_;
   SchemaPtr schema_;
   BufferPoolPtr pool_;
   PagedHeap heap_;
-  /// Heap-parallel MVCC lifetimes: versions_[rid] belongs to heap row
-  /// rid. Rebuilt in lockstep whenever the heap is compacted.
+  /// versions_[rid] belongs to row id rid; sized to heap_.end_rid().
   std::vector<RowVersion> versions_;
-  uint64_t epoch_ = 0;  ///< bumped on every write
-  std::vector<std::unique_ptr<HashIndex>> hash_indexes_;
-  std::vector<uint64_t> hash_epochs_;
-  std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
-  std::vector<uint64_t> ordered_epochs_;
+  /// Row ids whose version has an end_ts and whose slot is still
+  /// present: the only candidates watermark GC looks at.
+  std::vector<size_t> ended_;
+  std::vector<std::unique_ptr<DeclaredIndex<HashIndex>>> hash_indexes_;
+  std::vector<std::unique_ptr<DeclaredIndex<OrderedIndex>>> ordered_indexes_;
   TableStats stats_;
   bool stats_valid_ = false;
 };

@@ -92,4 +92,9 @@ size_t LockManager::HeldBy(uint64_t txn_id) const {
   return it == held_.end() ? 0 : it->second.size();
 }
 
+std::vector<std::string> LockManager::HeldResources(uint64_t txn_id) const {
+  auto it = held_.find(txn_id);
+  return it == held_.end() ? std::vector<std::string>{} : it->second;
+}
+
 }  // namespace gisql

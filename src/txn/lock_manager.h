@@ -66,6 +66,10 @@ class LockManager {
   /// \brief Locks currently held by `txn_id` (tests/monitoring).
   size_t HeldBy(uint64_t txn_id) const;
 
+  /// \brief Resources `txn_id` holds, in the order it acquired them
+  /// (tests/monitoring).
+  std::vector<std::string> HeldResources(uint64_t txn_id) const;
+
   /// \brief Distinct locked resources (tests/monitoring).
   size_t LockedResources() const { return locks_.size(); }
 

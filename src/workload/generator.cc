@@ -54,6 +54,7 @@ Status BuildRetailFederation(GlobalSystem* gis, const WorkloadSpec& spec) {
   // Sites: sales shards.
   std::vector<std::string> members;
   int64_t next_sid = 0;
+  const ZipfSampler product_zipf(spec.num_products, spec.zipf_theta);
   for (int s = 0; s < spec.num_sites; ++s) {
     const SourceDialect dialect =
         spec.site_dialects.empty()
@@ -71,7 +72,7 @@ Status BuildRetailFederation(GlobalSystem* gis, const WorkloadSpec& spec) {
     for (int i = 0; i < spec.orders_per_site; ++i) {
       const int64_t pid =
           spec.zipf_theta > 0.0
-              ? rng.Zipf(spec.num_products, spec.zipf_theta) - 1
+              ? product_zipf.Sample(rng) - 1
               : rng.Uniform(0, spec.num_products - 1);
       const int64_t qty = rng.Uniform(1, 10);
       rows.push_back(

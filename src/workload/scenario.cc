@@ -129,6 +129,8 @@ Result<ScenarioReport> RunScenario(GlobalSystem* gis,
   std::vector<double> sojourns;
   std::vector<double> tail_sojourns;
 
+  const ZipfSampler tenant_zipf(spec.num_tenants, spec.tenant_zipf_theta);
+  const ZipfSampler template_zipf(kNumTemplates, spec.template_zipf_theta);
   double t = 0.0;
   while (true) {
     // Homogeneous arrivals at lambda_max, thinned down to λ(t): the
@@ -141,10 +143,8 @@ Result<ScenarioReport> RunScenario(GlobalSystem* gis,
       continue;  // thinned: no arrival at this instant
     }
 
-    const int64_t tenant =
-        rng.Zipf(spec.num_tenants, spec.tenant_zipf_theta) - 1;
-    int tmpl_rank = static_cast<int>(
-        rng.Zipf(kNumTemplates, spec.template_zipf_theta) - 1);
+    const int64_t tenant = tenant_zipf.Sample(rng) - 1;
+    int tmpl_rank = static_cast<int>(template_zipf.Sample(rng) - 1);
     // Mid-run shift: swap the hottest and the shift rank after the
     // boundary. A post-draw relabeling, so the RNG sequence — and with
     // it every other arrival property — is unchanged by the shift.

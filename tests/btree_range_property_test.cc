@@ -1,12 +1,15 @@
-/// Property test: BPlusTree::Range boundary semantics against a
+/// Property tests: BPlusTree::Range boundary semantics against a
 /// sorted-vector oracle — every lo/hi inclusive×exclusive combination,
 /// equal bounds, inverted bounds, and NULL (= unbounded) sides, over
-/// randomized seeded key sets with duplicates.
+/// randomized seeded key sets with duplicates — and random insert/erase
+/// sequences against a std::multimap, with Validate() after every step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -129,6 +132,78 @@ TEST(BTreeRangeProperty, BoundsOutsideDomain) {
                                 Value::Int(hi));
     }
   }
+}
+
+/// The multimap's contents in its own order: by key, insertion order
+/// among duplicates — the order Range promises.
+std::vector<size_t> MultimapRids(const std::multimap<int64_t, size_t>& m) {
+  std::vector<size_t> rids;
+  rids.reserve(m.size());
+  for (const auto& [key, rid] : m) rids.push_back(rid);
+  return rids;
+}
+
+TEST(BTreeRangeProperty, RandomInsertEraseAgainstMultimap) {
+  for (const int fanout : {4, 5, 8, 16}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 31 + static_cast<uint64_t>(fanout));
+      BPlusTree tree(fanout);
+      std::multimap<int64_t, size_t> oracle;
+      size_t next_rid = 0;
+      // Grow, then shrink to empty, so both splits and merges run at
+      // every height the tree reaches.
+      for (int step = 0; step < 2400; ++step) {
+        const bool grow = step < 1400 ? rng.Uniform(0, 9) < 6
+                                      : rng.Uniform(0, 9) < 2;
+        if (grow || oracle.empty()) {
+          const int64_t key = rng.Uniform(0, 60);  // many duplicates
+          ASSERT_TRUE(tree.Insert(Value::Int(key), next_rid).ok());
+          oracle.emplace(key, next_rid++);
+        } else {
+          auto it = oracle.begin();
+          std::advance(it, rng.Uniform(0, static_cast<int64_t>(
+                                              oracle.size()) - 1));
+          ASSERT_TRUE(tree.Erase(Value::Int(it->first), it->second).ok())
+              << "fanout " << fanout << " seed " << seed << " step " << step;
+          oracle.erase(it);
+        }
+        const Status valid = tree.Validate();
+        ASSERT_TRUE(valid.ok()) << "fanout " << fanout << " seed " << seed
+                                << " step " << step << ": "
+                                << valid.ToString();
+        ASSERT_EQ(tree.size(), oracle.size());
+        if (step % 16 == 0) {
+          ASSERT_EQ(tree.Range(Value::Null(), true, Value::Null(), true),
+                    MultimapRids(oracle));
+        }
+      }
+      while (!oracle.empty()) {
+        auto it = oracle.begin();
+        ASSERT_TRUE(tree.Erase(Value::Int(it->first), it->second).ok());
+        oracle.erase(it);
+        ASSERT_TRUE(tree.Validate().ok());
+      }
+      EXPECT_EQ(tree.size(), 0u);
+      EXPECT_EQ(tree.height(), 0);
+    }
+  }
+}
+
+TEST(BTreeRangeProperty, EraseOfAbsentEntryIsNotFound) {
+  BPlusTree tree(4);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(tree.Insert(Value::Int(i % 5), static_cast<size_t>(i)).ok());
+  }
+  // Right key, wrong rid; absent key; NULL key: all leave the tree alone.
+  EXPECT_TRUE(tree.Erase(Value::Int(2), 3).IsNotFound());
+  EXPECT_TRUE(tree.Erase(Value::Int(9), 0).IsNotFound());
+  EXPECT_TRUE(tree.Erase(Value::Null(), 0).IsNotFound());
+  EXPECT_EQ(tree.size(), 40u);
+  ASSERT_TRUE(tree.Erase(Value::Int(2), 37).ok());
+  EXPECT_TRUE(tree.Erase(Value::Int(2), 37).IsNotFound());
+  EXPECT_EQ(tree.Lookup(Value::Int(2)),
+            (std::vector<size_t>{2, 7, 12, 17, 22, 27, 32}));
+  EXPECT_TRUE(tree.Validate().ok());
 }
 
 TEST(BTreeRangeProperty, EmptyTree) {

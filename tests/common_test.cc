@@ -174,10 +174,11 @@ TEST(RngTest, DoubleInUnitInterval) {
 
 TEST(RngTest, ZipfBoundsAndSkew) {
   Rng rng(3);
+  const ZipfSampler zipf(100, 0.9);
   int64_t ones = 0;
   const int kTrials = 20000;
   for (int i = 0; i < kTrials; ++i) {
-    int64_t v = rng.Zipf(100, 0.9);
+    int64_t v = zipf.Sample(rng);
     EXPECT_GE(v, 1);
     EXPECT_LE(v, 100);
     if (v == 1) ++ones;
@@ -188,9 +189,10 @@ TEST(RngTest, ZipfBoundsAndSkew) {
 
 TEST(RngTest, ZipfThetaZeroIsUniformish) {
   Rng rng(4);
+  const ZipfSampler uniform(100, 0.0);
   int64_t ones = 0;
   for (int i = 0; i < 20000; ++i) {
-    if (rng.Zipf(100, 0.0) == 1) ++ones;
+    if (uniform.Sample(rng) == 1) ++ones;
   }
   EXPECT_LT(ones, 20000 / 50);  // ~1% expected
 }

@@ -1,5 +1,5 @@
-/// Unit tests for the component-system storage engine: tables, indexes,
-/// statistics.
+/// Unit tests for the component-system storage engine: tables, the
+/// slot-stable heap, indexes kept current across writes, statistics.
 
 #include <gtest/gtest.h>
 
@@ -120,6 +120,148 @@ TEST(OrderedIndexTest, RangeLookups) {
   // unbounded high
   rids = idx->Range(Value::Int(95), true, Value::Null(), true);
   EXPECT_EQ(rids.size(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Slot-stable heap: reclaiming frees slots in place.
+
+/// A table over a private pool with small pages, so a few hundred rows
+/// span many pages.
+TablePtr MakePagedItems(int n, size_t page_size = 256) {
+  StorageConfig config;
+  config.page_size = page_size;
+  config.pool_frames = 16;
+  auto table = std::make_shared<Table>(
+      "items", ItemsSchema(), std::make_shared<BufferPoolManager>(config));
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({Value::Int(i), Value::Double(i * 1.5),
+                    Value::String("item" + std::to_string(i % 10))});
+  }
+  EXPECT_TRUE(table->InsertUnchecked(std::move(rows)).ok());
+  return table;
+}
+
+int64_t PageFetches(Table& table) {
+  const BufferPoolStats s = table.pool().Snapshot();
+  return s.hits + s.misses;
+}
+
+ExprPtr Bind(const Table& table, const std::string& sql) {
+  Binder binder(*table.schema());
+  return *binder.BindScalar(**sql::ParseScalarExpr(sql));
+}
+
+TEST(SlotStableHeapTest, ReclaimKeepsEveryOtherRowId) {
+  auto table = MakePagedItems(300);
+  ASSERT_EQ(*table->Delete(*Bind(*table, "id % 7 = 3")), 43);
+  EXPECT_EQ(table->num_rows(), 257);
+  // Survivors keep their ids; reclaimed ids read as NotFound.
+  for (int i = 0; i < 300; ++i) {
+    Result<Row> row = table->GetRow(static_cast<size_t>(i));
+    if (i % 7 == 3) {
+      EXPECT_TRUE(row.status().IsNotFound()) << i;
+      EXPECT_FALSE(table->VisibleAt(static_cast<size_t>(i), 0));
+    } else {
+      ASSERT_TRUE(row.ok()) << i << ": " << row.status().ToString();
+      EXPECT_EQ((*row)[0].AsInt(), i);
+    }
+  }
+  // The scan yields (rid, row) pairs with rid == id, ascending.
+  int64_t prev = -1;
+  int64_t seen = 0;
+  ASSERT_TRUE(table->Scan([&](size_t rid, const Row& row) {
+    EXPECT_EQ(static_cast<int64_t>(rid), row[0].AsInt());
+    EXPECT_GT(static_cast<int64_t>(rid), prev);
+    prev = static_cast<int64_t>(rid);
+    ++seen;
+    return Status::OK();
+  }).ok());
+  EXPECT_EQ(seen, 257);
+  // Appends take fresh ids past every id ever assigned.
+  ASSERT_TRUE(
+      table->Insert({Value::Int(1000), Value::Double(0), Value::String("n")})
+          .ok());
+  EXPECT_EQ((*table->GetRow(300))[0].AsInt(), 1000);
+}
+
+TEST(SlotStableHeapTest, ReclaimRewritesOnlyTheTouchedPages) {
+  auto table = MakePagedItems(400);
+  const int64_t pages = table->pool().Snapshot().pages_live;
+  ASSERT_GT(pages, 10);
+  // Two rows: the scan that finds them reads every page once, and the
+  // reclaim fetches just the two pages holding them.
+  const int64_t before = PageFetches(*table);
+  ASSERT_EQ(*table->Delete(*Bind(*table, "id = 5 OR id = 390")), 2);
+  EXPECT_EQ(PageFetches(*table) - before, pages + 2);
+  EXPECT_EQ(table->pool().Snapshot().pages_live, pages);
+}
+
+TEST(SlotStableHeapTest, EmptiedPageGoesBackToThePool) {
+  auto table = MakePagedItems(400);
+  const int64_t pages = table->pool().Snapshot().pages_live;
+  // A 256-byte page holds about a dozen of these rows, so the first 40
+  // ids fill whole pages that this delete empties.
+  ASSERT_EQ(*table->Delete(*Bind(*table, "id < 40")), 40);
+  EXPECT_LT(table->pool().Snapshot().pages_live, pages);
+  EXPECT_EQ(table->num_rows(), 360);
+  EXPECT_EQ((*table->GetRow(40))[0].AsInt(), 40);
+  // Everything gone: every page returns, and appends start a new page.
+  ASSERT_EQ(*table->Delete(*Bind(*table, "id >= 0")), 360);
+  EXPECT_EQ(table->pool().Snapshot().pages_live, 0);
+  ASSERT_TRUE(
+      table->Insert({Value::Int(7), Value::Double(0), Value::String("n")})
+          .ok());
+  EXPECT_EQ(table->num_rows(), 1);
+  EXPECT_EQ(table->pool().Snapshot().pages_live, 1);
+  EXPECT_EQ((*table->GetRow(400))[0].AsInt(), 7);
+}
+
+TEST(SlotStableHeapTest, IndexesStayCurrentWithoutRescanning) {
+  auto table = MakePagedItems(300);
+  ASSERT_TRUE(table->CreateHashIndex(2).ok());
+  ASSERT_TRUE(table->CreateOrderedIndex(0).ok());
+  // First use builds each index with one scan...
+  ASSERT_EQ(table->GetHashIndex(2)->Lookup(Value::String("item3")).size(),
+            30u);
+  ASSERT_EQ(table->GetOrderedIndex(0)
+                ->Range(Value::Int(10), true, Value::Int(19), true)
+                .size(),
+            10u);
+  // ...and writes keep it current: no later use touches a page.
+  ASSERT_TRUE(table->Delete(*Bind(*table, "id >= 10 AND id < 15")).ok());
+  ASSERT_TRUE(
+      table->Insert({Value::Int(12), Value::Double(0), Value::String("item3")})
+          .ok());
+  const int64_t before = PageFetches(*table);
+  const auto rids =
+      table->GetOrderedIndex(0)->Range(Value::Int(10), true, Value::Int(19),
+                                       true);
+  EXPECT_EQ(rids, (std::vector<size_t>{300, 15, 16, 17, 18, 19}));
+  const auto& item3 = table->GetHashIndex(2)->Lookup(Value::String("item3"));
+  EXPECT_EQ(item3.size(), 30u);  // 13 went, the new 12 came
+  EXPECT_EQ(item3.back(), 300u);
+  EXPECT_EQ(PageFetches(*table), before);
+  EXPECT_TRUE(table->GetOrderedIndex(0)->tree().Validate().ok());
+}
+
+TEST(SlotStableHeapTest, GcReclaimsOnlyDeadVersionsAndKeepsIndexes) {
+  auto table = MakePagedItems(50);
+  ASSERT_TRUE(table->CreateOrderedIndex(0).ok());
+  ASSERT_NE(table->GetOrderedIndex(0), nullptr);
+  table->MarkDeleted(4, 10);
+  table->MarkDeleted(9, 20);
+  EXPECT_EQ(*table->GcToWatermark(9), 0);  // nothing dead at 9 yet
+  EXPECT_EQ(*table->GcToWatermark(15), 1);
+  EXPECT_TRUE(table->GetOrderedIndex(0)
+                  ->Range(Value::Int(4), true, Value::Int(4), true)
+                  .empty());
+  EXPECT_EQ(table->GetOrderedIndex(0)
+                ->Range(Value::Int(9), true, Value::Int(9), true),
+            std::vector<size_t>{9});
+  EXPECT_EQ(*table->GcToWatermark(25), 1);
+  EXPECT_EQ(table->num_rows(), 48);
+  EXPECT_EQ(*table->GcToWatermark(25), 0);
 }
 
 TEST(StatsTest, ExactStatistics) {
