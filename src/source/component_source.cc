@@ -241,6 +241,32 @@ bool RowInAccessPath(const FragmentPlan& frag, const Row& row) {
   return true;  // full scan sees everything
 }
 
+/// The columns of the scanned (outer) table a fragment's heap scan
+/// decodes: those its filter, projections, group-by and aggregate
+/// arguments read, plus its semijoin or join key. Columns at or past
+/// `outer_width` belong to an index-nested-loop join's inner table. A
+/// fragment with neither projections nor aggregates ships whole rows,
+/// so it reads every column.
+ColumnSet ScanColumns(const FragmentPlan& frag, size_t outer_width) {
+  if (frag.projections.empty() && !frag.has_aggregate) {
+    return AllColumns(outer_width);
+  }
+  std::vector<size_t> cols;
+  if (frag.filter) frag.filter->CollectColumns(&cols);
+  for (const auto& p : frag.projections) p->CollectColumns(&cols);
+  for (const auto& g : frag.group_by) g->CollectColumns(&cols);
+  for (const auto& a : frag.aggregates) {
+    if (a.arg) a.arg->CollectColumns(&cols);
+  }
+  if (frag.semijoin_column >= 0) {
+    cols.push_back(static_cast<size_t>(frag.semijoin_column));
+  }
+  if (!frag.join_table.empty() && frag.join_outer_column >= 0) {
+    cols.push_back(static_cast<size_t>(frag.join_outer_column));
+  }
+  return ColumnsOf(outer_width, cols);
+}
+
 }  // namespace
 
 const ComponentSource::StagedTxn* ComponentSource::FindStagedByNumericId(
@@ -295,13 +321,16 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     }
   }
   // Filter-in-scan: every access path tests a visible candidate against
-  // `pre_filter` where it finds it, so only survivors are copied out of
-  // the buffer-pool page (every fetch pins a page and charges
-  // hits/misses). The first predicate error stops the gather.
+  // `pre_filter` where it finds it, so only survivors are kept (every
+  // fetch pins a page and charges hits/misses). A heap scan decodes
+  // only the columns the fragment reads and moves its survivors out.
+  // The first predicate error stops the gather.
   auto passes = [&](const Row& row) -> Result<bool> {
     if (!pre_filter) return true;
     return EvalPredicate(*pre_filter, row);
   };
+  const size_t outer_width = table->schema()->num_fields();
+  const ColumnSet read_columns = ScanColumns(frag, outer_width);
 
   int64_t scanned = 0;
   std::vector<Row> filtered_rows;
@@ -329,21 +358,22 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
       std::unordered_set<uint64_t> keys;
       keys.reserve(frag.semijoin_values.size());
       for (const auto& v : frag.semijoin_values) keys.insert(v.Hash());
-      GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
-        ++scanned;
-        if (!visible(rid)) return Status::OK();
-        const Value& v = row[col];
-        if (v.is_null() || !keys.count(v.Hash())) return Status::OK();
-        // Hash hit: confirm by value to rule out collisions.
-        for (const auto& key : frag.semijoin_values) {
-          if (v.Compare(key) == 0) {
-            GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
-            if (keep) filtered_rows.push_back(row);
-            break;
-          }
-        }
-        return Status::OK();
-      }));
+      GISQL_RETURN_NOT_OK(
+          table->Scan(read_columns, [&](size_t rid, Row& row) {
+            ++scanned;
+            if (!visible(rid)) return Status::OK();
+            const Value& v = row[col];
+            if (v.is_null() || !keys.count(v.Hash())) return Status::OK();
+            // Hash hit: confirm by value to rule out collisions.
+            for (const auto& key : frag.semijoin_values) {
+              if (v.Compare(key) == 0) {
+                GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
+                if (keep) filtered_rows.push_back(std::move(row));
+                break;
+              }
+            }
+            return Status::OK();
+          }));
     }
   } else if (frag.index_column >= 0) {
     // Index range scan: walk the B+tree for the qualifying row ids and
@@ -375,11 +405,11 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     if (!pre_filter) {
       filtered_rows.reserve(static_cast<size_t>(table->num_rows()));
     }
-    GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
+    GISQL_RETURN_NOT_OK(table->Scan(read_columns, [&](size_t rid, Row& row) {
       ++scanned;
       if (!visible(rid)) return Status::OK();
       GISQL_ASSIGN_OR_RETURN(bool keep, passes(row));
-      if (keep) filtered_rows.push_back(row);
+      if (keep) filtered_rows.push_back(std::move(row));
       return Status::OK();
     }));
   }
@@ -408,7 +438,6 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
   if (!frag.join_table.empty()) {
     GISQL_ASSIGN_OR_RETURN(TablePtr inner,
                            engine_.GetTable(frag.join_table));
-    const size_t outer_width = table->schema()->num_fields();
     const size_t inner_width = inner->schema()->num_fields();
     if (frag.join_outer_column < 0 ||
         static_cast<size_t>(frag.join_outer_column) >= outer_width) {
@@ -699,7 +728,11 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
         GISQL_RETURN_NOT_OK(stage(rid, row));
       }
     } else {
-      GISQL_RETURN_NOT_OK(table->Scan(stage));
+      // The scan decodes the predicate's columns and the lock key.
+      std::vector<size_t> cols = {0};
+      if (pred != nullptr) pred->CollectColumns(&cols);
+      GISQL_RETURN_NOT_OK(table->Scan(
+          ColumnsOf(table->schema()->num_fields(), cols), stage));
     }
     // First committer wins: a row visible in our snapshot but already
     // ended at latest was deleted by a transaction that committed after
@@ -806,7 +839,12 @@ Status ComponentSource::SaveSnapshot(const std::string& path) const {
   for (const auto& name : names) {
     GISQL_ASSIGN_OR_RETURN(TablePtr table, engine.GetTable(name));
     writer.PutString(table->name());
-    RowBatch batch(table->schema(), table->rows());
+    RowBatch batch(table->schema());
+    GISQL_RETURN_NOT_OK(table->Scan(
+        AllColumns(table->schema()->num_fields()), [&](size_t, Row& row) {
+          batch.Append(std::move(row));
+          return Status::OK();
+        }));
     wire::WriteBatch(&writer, batch);
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -19,8 +19,18 @@ void EncodeRow(ByteWriter* w, const Row& row) {
 
 }  // namespace
 
+ColumnSet ColumnsOf(size_t width, const std::vector<size_t>& columns) {
+  ColumnSet set(width, false);
+  for (size_t c : columns) {
+    if (c < width) set[c] = true;
+  }
+  return set;
+}
+
 PagedHeap::PagedHeap(BufferPoolPtr pool, SchemaPtr schema)
-    : pool_(std::move(pool)), schema_(std::move(schema)) {}
+    : pool_(std::move(pool)),
+      schema_(std::move(schema)),
+      all_columns_(AllColumns(schema_->num_fields())) {}
 
 PagedHeap::~PagedHeap() { DropAllPages(); }
 
@@ -92,27 +102,34 @@ size_t PagedHeap::PageOf(size_t rid) const {
   return static_cast<size_t>(it - pages_.begin());
 }
 
-Result<std::vector<Row>> PagedHeap::DecodePage(
-    size_t page_index, const std::vector<uint8_t>& bytes) const {
+Status PagedHeap::DecodePage(size_t page_index,
+                             const std::vector<uint8_t>& bytes,
+                             const ColumnSet& columns,
+                             std::vector<Row>* rows) const {
   const size_t nrows = pages_[page_index].live;
   const size_t width = schema_->num_fields();
   ByteReader reader(bytes);
-  std::vector<Row> rows;
-  rows.reserve(nrows);
+  rows->clear();
+  rows->reserve(nrows);
   for (size_t i = 0; i < nrows; ++i) {
     Row row;
     row.reserve(width);
     for (size_t c = 0; c < width; ++c) {
-      GISQL_ASSIGN_OR_RETURN(Value v, wire::ReadValue(&reader));
-      row.push_back(std::move(v));
+      if (c < columns.size() && columns[c]) {
+        GISQL_ASSIGN_OR_RETURN(Value v, wire::ReadValue(&reader));
+        row.push_back(std::move(v));
+      } else {
+        GISQL_RETURN_NOT_OK(wire::SkipValue(&reader));
+        row.push_back(Value::Null(schema_->field(c).type));
+      }
     }
-    rows.push_back(std::move(row));
+    rows->push_back(std::move(row));
   }
   if (!reader.AtEnd()) {
     return Status::SerializationError("heap page ", pages_[page_index].page_id,
                                       " has trailing bytes");
   }
-  return rows;
+  return Status::OK();
 }
 
 Result<const std::vector<Row>*> PagedHeap::PageRows(size_t page_index) {
@@ -123,10 +140,11 @@ Result<const std::vector<Row>*> PagedHeap::PageRows(size_t page_index) {
     pool_->UnpinPage(page_id, /*dirty=*/false);
     return &memo_rows_;
   }
-  Result<std::vector<Row>> rows = DecodePage(page_index, *data);
+  // A failed decode leaves the memo invalid.
+  memo_valid_ = false;
+  const Status st = DecodePage(page_index, *data, all_columns_, &memo_rows_);
   pool_->UnpinPage(page_id, /*dirty=*/false);
-  GISQL_RETURN_NOT_OK(rows.status());
-  memo_rows_ = std::move(*rows);
+  GISQL_RETURN_NOT_OK(st);
   memo_page_id_ = page_id;
   memo_epoch_ = epoch_;
   memo_valid_ = true;
@@ -155,14 +173,21 @@ Result<Row> PagedHeap::Get(size_t rid) {
 }
 
 Status PagedHeap::Scan(
-    const std::function<Status(size_t rid, const Row& row)>& fn) {
+    const ColumnSet& columns,
+    const std::function<Status(size_t rid, Row& row)>& fn) {
+  std::vector<Row> rows;
   for (size_t p = 0; p < pages_.size(); ++p) {
-    GISQL_ASSIGN_OR_RETURN(const std::vector<Row>* rows, PageRows(p));
+    const uint64_t page_id = pages_[p].page_id;
+    GISQL_ASSIGN_OR_RETURN(std::vector<uint8_t>* data,
+                           pool_->FetchPage(page_id));
+    const Status decoded = DecodePage(p, *data, columns, &rows);
+    pool_->UnpinPage(page_id, /*dirty=*/false);
+    GISQL_RETURN_NOT_OK(decoded);
     const PageEntry& page = pages_[p];
     size_t i = 0;
     for (size_t slot = 0; slot < page.slots; ++slot) {
       if (page.is_free(slot)) continue;
-      GISQL_RETURN_NOT_OK(fn(page.first_rid + slot, (*rows)[i++]));
+      GISQL_RETURN_NOT_OK(fn(page.first_rid + slot, rows[i++]));
     }
   }
   return Status::OK();
@@ -183,10 +208,11 @@ Status PagedHeap::Free(
     PageEntry& page = pages_[page_index];
     GISQL_ASSIGN_OR_RETURN(std::vector<uint8_t>* data,
                            pool_->FetchPage(page.page_id));
-    Result<std::vector<Row>> rows = DecodePage(page_index, *data);
-    if (!rows.ok()) {
+    std::vector<Row> rows;
+    if (Status st = DecodePage(page_index, *data, all_columns_, &rows);
+        !st.ok()) {
       pool_->UnpinPage(page.page_id, /*dirty=*/false);
-      return rows.status();
+      return st;
     }
     // Walk the page's live slots; the ones named in `rids` go, the rest
     // are re-encoded in slot order.
@@ -195,7 +221,7 @@ Status PagedHeap::Free(
     size_t i = 0;
     for (size_t slot = 0; slot < page.slots; ++slot) {
       if (page.freed[slot]) continue;
-      const Row& row = (*rows)[i++];
+      const Row& row = rows[i++];
       if (next < rids.size() && rids[next] == page.first_rid + slot) {
         on_free(rids[next], row);
         page.freed[slot] = true;

@@ -10,6 +10,11 @@
 /// row ids are not reused. Every access goes through the buffer pool,
 /// so point reads and scans charge honest page hits/misses and virtual
 /// disk time.
+///
+/// A scan decodes only the columns its caller names: the other cells
+/// are stepped over without decoding and read as NULLs of their
+/// declared type. Point reads decode whole rows and keep a one-page
+/// decode memo, so consecutive probes of one page decode it once.
 
 #pragma once
 
@@ -24,6 +29,18 @@
 #include "types/schema.h"
 
 namespace gisql {
+
+/// \brief The columns a scan decodes: column c is decoded when
+/// `c < size()` and its flag is set; every other cell is skipped and
+/// reads as a NULL of its declared type.
+using ColumnSet = std::vector<bool>;
+
+/// \brief Every column of a `width`-wide row.
+inline ColumnSet AllColumns(size_t width) { return ColumnSet(width, true); }
+
+/// \brief The `columns` of a `width`-wide row (entries at or past
+/// `width` are ignored).
+ColumnSet ColumnsOf(size_t width, const std::vector<size_t>& columns);
 
 class PagedHeap {
  public:
@@ -45,9 +62,12 @@ class PagedHeap {
   /// for a freed slot.
   Result<Row> Get(size_t rid);
 
-  /// \brief Scan of the live slots in row-id order, one page pin per
-  /// page. The callback may return a non-OK status to stop the scan.
-  Status Scan(const std::function<Status(size_t rid, const Row& row)>& fn);
+  /// \brief Scan of the live slots in row-id order, decoding only
+  /// `columns`. Each page is pinned once and unpinned before the
+  /// callbacks see its rows, which they may move from. The callback may
+  /// return a non-OK status to stop the scan.
+  Status Scan(const ColumnSet& columns,
+              const std::function<Status(size_t rid, Row& row)>& fn);
 
   /// \brief Frees the live slots `rids` (ascending): each page holding
   /// one is fetched once and rewritten with its surviving rows, or
@@ -78,26 +98,28 @@ class PagedHeap {
   /// its slot was freed (or its page, emptied, was deleted).
   size_t PageOf(size_t rid) const;
 
-  /// Decodes the live rows of page `page_index` from `bytes`.
-  Result<std::vector<Row>> DecodePage(size_t page_index,
-                                      const std::vector<uint8_t>& bytes) const;
+  /// Decodes the `columns` of the live rows of page `page_index` from
+  /// `bytes` into `rows` (replacing its contents).
+  Status DecodePage(size_t page_index, const std::vector<uint8_t>& bytes,
+                    const ColumnSet& columns, std::vector<Row>* rows) const;
 
-  /// Live rows of page `page_index` in slot order, fetched (counting
-  /// hit/miss) and decoded — with a one-page decode memo so consecutive
-  /// probes of the same page skip the re-decode CPU, never the pool
-  /// accounting.
+  /// Live rows of page `page_index` in slot order for Get, fetched
+  /// (counting hit/miss) and decoded — with a one-page decode memo so
+  /// consecutive probes of the same page skip the re-decode CPU, never
+  /// the pool accounting.
   Result<const std::vector<Row>*> PageRows(size_t page_index);
 
   void DropAllPages();
 
   BufferPoolPtr pool_;
   SchemaPtr schema_;
+  ColumnSet all_columns_;
   std::vector<PageEntry> pages_;  ///< ascending first_rid
   int64_t live_rows_ = 0;
   size_t end_rid_ = 0;
   uint64_t epoch_ = 0;  ///< bumped on every mutation (invalidates memo)
 
-  // Decode memo for the most recently read page.
+  // Decode memo of Get: the most recently read page.
   bool memo_valid_ = false;
   uint64_t memo_page_id_ = 0;
   uint64_t memo_epoch_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 namespace gisql {
@@ -90,6 +91,66 @@ std::string TableStats::ToString() const {
   return oss.str();
 }
 
+namespace {
+
+/// kHistogramBuckets + 1 equi-depth edges over `sorted` (non-empty).
+template <typename T, typename MakeValue>
+std::vector<Value> EquiDepthEdges(const std::vector<T>& sorted,
+                                  MakeValue make_value) {
+  std::vector<Value> bounds;
+  bounds.reserve(kHistogramBuckets + 1);
+  for (int b = 0; b <= kHistogramBuckets; ++b) {
+    const size_t idx = std::min(
+        sorted.size() - 1,
+        static_cast<size_t>(b) * sorted.size() / kHistogramBuckets);
+    bounds.push_back(make_value(sorted[idx]));
+  }
+  return bounds;
+}
+
+/// Histogram edges of column `c` (`non_null` > 0 non-null values).
+/// When every non-null value has the declared INT64, DATE or STRING
+/// type, the sort runs over plain keys; any other column sorts Value
+/// pointers by Compare. Both orders agree on such columns, so the edges
+/// are the same either way.
+std::vector<Value> HistogramBounds(const std::vector<Row>& rows, size_t c,
+                                   TypeId type, size_t non_null) {
+  auto non_null_cells = [&](auto&& fn) {
+    for (const auto& row : rows) {
+      if (c < row.size() && !row[c].is_null()) fn(row[c]);
+    }
+  };
+  bool typed = type == TypeId::kInt64 || type == TypeId::kDate ||
+               type == TypeId::kString;
+  non_null_cells([&](const Value& v) { typed = typed && v.type() == type; });
+  if (typed && type == TypeId::kString) {
+    std::vector<std::string_view> keys;
+    keys.reserve(non_null);
+    non_null_cells([&](const Value& v) { keys.push_back(v.AsString()); });
+    std::sort(keys.begin(), keys.end());
+    return EquiDepthEdges(keys, [](std::string_view k) {
+      return Value::String(std::string(k));
+    });
+  }
+  if (typed) {
+    std::vector<int64_t> keys;
+    keys.reserve(non_null);
+    non_null_cells([&](const Value& v) { keys.push_back(v.AsInt()); });
+    std::sort(keys.begin(), keys.end());
+    return EquiDepthEdges(keys, [type](int64_t k) {
+      return type == TypeId::kDate ? Value::Date(k) : Value::Int(k);
+    });
+  }
+  std::vector<const Value*> sorted;
+  sorted.reserve(non_null);
+  non_null_cells([&](const Value& v) { sorted.push_back(&v); });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Value* a, const Value* b) { return a->Compare(*b) < 0; });
+  return EquiDepthEdges(sorted, [](const Value* v) { return *v; });
+}
+
+}  // namespace
+
 TableStats CollectStats(const Schema& schema, const std::vector<Row>& rows) {
   TableStats stats;
   stats.row_count = static_cast<int64_t>(rows.size());
@@ -123,23 +184,9 @@ TableStats CollectStats(const Schema& schema, const std::vector<Row>& rows) {
     // Equi-depth histogram for orderable columns with enough values.
     if (non_null >= kHistogramBuckets * 2 &&
         schema.field(c).type != TypeId::kBool) {
-      std::vector<const Value*> sorted;
-      sorted.reserve(static_cast<size_t>(non_null));
-      for (const auto& row : rows) {
-        if (c < row.size() && !row[c].is_null()) sorted.push_back(&row[c]);
-      }
-      std::sort(sorted.begin(), sorted.end(),
-                [](const Value* a, const Value* b) {
-                  return a->Compare(*b) < 0;
-                });
-      auto& bounds = stats.columns[c].histogram_bounds;
-      bounds.reserve(kHistogramBuckets + 1);
-      for (int b = 0; b <= kHistogramBuckets; ++b) {
-        const size_t idx = std::min(
-            sorted.size() - 1,
-            static_cast<size_t>(b) * sorted.size() / kHistogramBuckets);
-        bounds.push_back(*sorted[idx]);
-      }
+      stats.columns[c].histogram_bounds =
+          HistogramBounds(rows, c, schema.field(c).type,
+                          static_cast<size_t>(non_null));
     }
   }
   return stats;

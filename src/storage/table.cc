@@ -53,16 +53,6 @@ Table::Table(std::string name, SchemaPtr schema, BufferPoolPtr pool)
                 : std::make_shared<BufferPoolManager>(StorageConfig::FromEnv())),
       heap_(pool_, schema_) {}
 
-std::vector<Row> Table::rows() {
-  std::vector<Row> out;
-  out.reserve(static_cast<size_t>(heap_.num_rows()));
-  (void)heap_.Scan([&](size_t, const Row& row) {
-    out.push_back(row);
-    return Status::OK();
-  });
-  return out;
-}
-
 Result<Row> Table::ValidateRow(Row row) const {
   if (row.size() != schema_->num_fields()) {
     return Status::InvalidArgument("row arity ", row.size(),
@@ -181,8 +171,11 @@ Result<int64_t> Table::GcToWatermark(uint64_t watermark) {
 }
 
 Result<int64_t> Table::Delete(const Expr& predicate) {
+  std::vector<size_t> columns;
+  predicate.CollectColumns(&columns);
+  const ColumnSet read = ColumnsOf(schema_->num_fields(), columns);
   std::vector<size_t> matched;
-  GISQL_RETURN_NOT_OK(heap_.Scan([&](size_t rid, const Row& row) {
+  GISQL_RETURN_NOT_OK(heap_.Scan(read, [&](size_t rid, Row& row) {
     GISQL_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, row));
     if (match) matched.push_back(rid);
     return Status::OK();
@@ -225,12 +218,14 @@ Status Table::CreateOrderedIndex(size_t column) {
 template <typename Index>
 Index* Table::Built(DeclaredIndex<Index>* declared) {
   if (!declared->built) {
-    // One scan through the pool; entries carry row ids, not positions.
-    // Best-effort like rows(): an out-of-budget pool leaves the prefix
-    // it reached, and the index stays unbuilt so the next use rescans.
+    // One scan of the index column through the pool; entries carry
+    // row ids, not positions. Best-effort: an out-of-budget pool leaves
+    // the prefix it reached, and the index stays unbuilt so the next
+    // use rescans.
     Index& index = declared->index;
     index.Clear();
-    declared->built = heap_.Scan([&](size_t rid, const Row& row) {
+    const ColumnSet read = ColumnsOf(schema_->num_fields(), {index.column()});
+    declared->built = heap_.Scan(read, [&](size_t rid, Row& row) {
       index.Insert(row[index.column()], rid);
       return Status::OK();
     }).ok();
@@ -274,7 +269,17 @@ std::vector<int64_t> Table::OrderedIndexedColumns() const {
 
 const TableStats& Table::Stats() {
   if (!stats_valid_) {
-    stats_ = CollectStats(*schema_, rows());
+    // One all-column scan in page order; rows are moved, not copied.
+    // Best-effort: an out-of-budget pool yields statistics over the
+    // prefix it reached.
+    std::vector<Row> rows;
+    rows.reserve(static_cast<size_t>(heap_.num_rows()));
+    const ColumnSet read = AllColumns(schema_->num_fields());
+    (void)heap_.Scan(read, [&](size_t, Row& row) {
+      rows.push_back(std::move(row));
+      return Status::OK();
+    });
+    stats_ = CollectStats(*schema_, rows);
     stats_.hash_indexed_columns = HashIndexedColumns();
     stats_.ordered_indexed_columns = OrderedIndexedColumns();
     stats_valid_ = true;

@@ -4,7 +4,9 @@
 ///
 /// Rows live in buffer-pool pages (storage/paged_heap.h), so every
 /// access — point read, scan, index build — charges page hits/misses
-/// and virtual disk time. Row ids are slot-stable: a row keeps its id
+/// and virtual disk time. There is one scan entry point, and it takes
+/// the columns its caller reads: unread cells are skipped, not decoded,
+/// and read as typed NULLs. Row ids are slot-stable: a row keeps its id
 /// until its slot is reclaimed (watermark GC or an administrative
 /// DELETE), and reclaiming rewrites only the pages holding the freed
 /// slots. Indexes map values to row ids; a declared index is built by
@@ -119,21 +121,16 @@ class Table {
   /// \brief Rows physically present (every unreclaimed version).
   int64_t num_rows() const { return heap_.num_rows(); }
 
-  /// \brief Materializes every present row in row-id order through the
-  /// buffer pool (charging page accesses). Once slots are reclaimed a
-  /// row's position here is not its row id. Best-effort: an
-  /// out-of-budget pool yields the prefix that fit — engine paths use
-  /// Scan()/GetRow() instead, which surface the error.
-  std::vector<Row> rows();
-
   /// \brief Point read of row `rid` through the buffer pool; NotFound
   /// once its slot was reclaimed.
   Result<Row> GetRow(size_t rid) { return heap_.Get(rid); }
 
   /// \brief Scan of the present rows in row-id order, one page pin per
-  /// page.
-  Status Scan(const std::function<Status(size_t, const Row&)>& fn) {
-    return heap_.Scan(fn);
+  /// page, decoding only `columns` (the rest read as typed NULLs). The
+  /// callback may move from the row it is given.
+  Status Scan(const ColumnSet& columns,
+              const std::function<Status(size_t, Row&)>& fn) {
+    return heap_.Scan(columns, fn);
   }
 
   /// \brief Validates arity and types against the schema, applying
@@ -209,7 +206,8 @@ class Table {
   std::vector<int64_t> HashIndexedColumns() const;
   std::vector<int64_t> OrderedIndexedColumns() const;
 
-  /// \brief Exact statistics; cached until the next write.
+  /// \brief Exact statistics from one all-column scan; cached until
+  /// the next write.
   const TableStats& Stats();
 
   /// \brief The pool this table's pages live in.

@@ -122,6 +122,31 @@ Result<Value> ReadValue(ByteReader* r) {
   return Status::SerializationError("unreachable value tag");
 }
 
+Status SkipValue(ByteReader* r) {
+  GISQL_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
+  const auto type = static_cast<TypeId>(tag & 0x07);
+  if (static_cast<uint8_t>(type) > static_cast<uint8_t>(TypeId::kDate)) {
+    return Status::SerializationError("bad value tag ", int(tag));
+  }
+  if (tag & kNullBit) return Status::OK();
+  switch (type) {
+    case TypeId::kNull:
+      return Status::OK();
+    case TypeId::kBool:
+      return r->GetRaw(1).status();
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      return r->GetVarint().status();
+    case TypeId::kDouble:
+      return r->GetRaw(sizeof(double)).status();
+    case TypeId::kString: {
+      GISQL_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+      return r->GetRaw(static_cast<size_t>(n)).status();
+    }
+  }
+  return Status::SerializationError("unreachable value tag");
+}
+
 void WriteSchema(ByteWriter* w, const Schema& schema) {
   w->PutVarint(schema.num_fields());
   for (const auto& f : schema.fields()) {

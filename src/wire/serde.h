@@ -25,6 +25,10 @@ namespace wire {
 /// @{
 void WriteValue(ByteWriter* w, const Value& v);
 Result<Value> ReadValue(ByteReader* r);
+/// \brief Steps over one encoded value without decoding or allocating:
+/// consumes exactly the bytes ReadValue would and fails exactly where
+/// it would.
+Status SkipValue(ByteReader* r);
 /// @}
 
 /// \name Schemas

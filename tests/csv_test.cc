@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/global_system.h"
+#include "scan_rows.h"
 #include "workload/csv.h"
 
 namespace gisql {
@@ -99,8 +100,9 @@ TEST_F(CsvLoadTest, NoHeaderAndCustomNullToken) {
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, 1);
   auto table = *src_->engine().GetTable("people");
-  EXPECT_TRUE(table->rows()[0][2].is_null());
-  EXPECT_EQ(table->rows()[0][1].AsString(), "Barbara");
+  const std::vector<Row> rows = ScanRows(*table);
+  EXPECT_TRUE(rows[0][2].is_null());
+  EXPECT_EQ(rows[0][1].AsString(), "Barbara");
 }
 
 TEST_F(CsvLoadTest, MissingTableAndFile) {

@@ -11,6 +11,7 @@
 #include "core/global_system.h"
 #include "expr/binder.h"
 #include "expr/eval.h"
+#include "scan_rows.h"
 #include "sql/parser.h"
 
 namespace gisql {
@@ -90,7 +91,7 @@ TEST_P(DifferentialTest, MediatorMatchesDirectEvaluation) {
     auto bound = binder.BindScalar(**ast);
     ASSERT_TRUE(bound.ok()) << pred << ": " << bound.status().ToString();
     std::vector<int64_t> expected;
-    for (const auto& row : table->rows()) {
+    for (const auto& row : ScanRows(*table)) {
       auto keep = EvalPredicate(**bound, row);
       ASSERT_TRUE(keep.ok()) << pred;
       if (*keep) expected.push_back(row[0].AsInt());
@@ -139,7 +140,7 @@ TEST_P(DifferentialTest, AggregatesMatchDirectEvaluation) {
   // Reference aggregation straight off the storage.
   std::map<int64_t, std::vector<double>> groups;
   std::map<int64_t, int64_t> totals;
-  for (const auto& row : table->rows()) {
+  for (const auto& row : ScanRows(*table)) {
     const int64_t g = row[2].AsInt();
     ++totals[g];
     if (!row[1].is_null()) groups[g].push_back(row[1].AsDouble());

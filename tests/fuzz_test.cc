@@ -116,6 +116,18 @@ TEST_P(FrameFuzz, CorruptedFramesAreRejectedTyped) {
     for (auto& b : payload) {
       b = static_cast<uint8_t>(rng.Uniform(0, 255));
     }
+    // The same random bytes read as a run of values: SkipValue steps
+    // over exactly what ReadValue decodes and stops where it fails.
+    {
+      ByteReader read(payload);
+      ByteReader skip(payload);
+      while (!read.AtEnd()) {
+        const bool read_ok = wire::ReadValue(&read).ok();
+        ASSERT_EQ(wire::SkipValue(&skip).ok(), read_ok) << "trial " << trial;
+        ASSERT_EQ(skip.position(), read.position()) << "trial " << trial;
+        if (!read_ok) break;
+      }
+    }
     const std::vector<uint8_t> frame = wire::SealFrame(payload);
 
     // Clean round trip.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -154,6 +155,84 @@ TEST(HistogramTest, StringHistograms) {
   // without numeric interpolation.
   const double below_b = stats.columns[0].FractionBelow(Value::String("b"));
   EXPECT_GT(below_b, 0.6);
+}
+
+/// Histogram edges as the definition reads: every non-null value of
+/// the column sorted by Value::Compare, equi-depth positions picked.
+std::vector<Value> ReferenceBounds(const std::vector<Row>& rows, size_t c) {
+  std::vector<Value> sorted;
+  for (const auto& row : rows) {
+    if (!row[c].is_null()) sorted.push_back(row[c]);
+  }
+  if (sorted.size() < 2 * kHistogramBuckets) return {};
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+  std::vector<Value> bounds;
+  for (int b = 0; b <= kHistogramBuckets; ++b) {
+    bounds.push_back(sorted[std::min(
+        sorted.size() - 1,
+        static_cast<size_t>(b) * sorted.size() / kHistogramBuckets)]);
+  }
+  return bounds;
+}
+
+TEST(HistogramTest, TypedSortMatchesCompareSortReference) {
+  // Declared INT64, DATE and STRING columns sort typed keys; the DOUBLE
+  // column, a BIGINT column holding dates, and a column mixing the
+  // numeric types keep the Compare sort. (Strings stay out of the mixed
+  // column: Compare orders them by type id against numbers, which is
+  // not a strict weak order once DATE compares numerically.) Every
+  // column must equal the reference.
+  const Schema schema({{"i", TypeId::kInt64},
+                       {"d", TypeId::kDate},
+                       {"s", TypeId::kString},
+                       {"x", TypeId::kDouble},
+                       {"id", TypeId::kInt64},
+                       {"m", TypeId::kInt64}});
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const int n = static_cast<int>(rng.Uniform(40, 3000));
+    std::vector<Row> rows;
+    for (int r = 0; r < n; ++r) {
+      auto maybe_null = [&](TypeId type, Value v) {
+        return rng.Bernoulli(0.1) ? Value::Null(type) : std::move(v);
+      };
+      std::string str = rng.NextString(static_cast<size_t>(rng.Uniform(0, 4)));
+      if (rng.Bernoulli(0.2)) str += static_cast<char>(0xe9);  // high byte
+      Value mixed;
+      switch (rng.Uniform(0, 3)) {
+        case 0: mixed = Value::Int(rng.Uniform(-5, 5)); break;
+        case 1: mixed = Value::Double(static_cast<double>(rng.Uniform(-5, 5)));
+          break;
+        case 2: mixed = Value::Bool(rng.Bernoulli(0.5)); break;
+        default: mixed = Value::Date(rng.Uniform(-5, 5)); break;
+      }
+      rows.push_back(
+          {maybe_null(TypeId::kInt64, Value::Int(rng.Uniform(-1000, 1000))),
+           maybe_null(TypeId::kDate, Value::Date(rng.Uniform(0, 20000))),
+           maybe_null(TypeId::kString, Value::String(std::move(str))),
+           maybe_null(TypeId::kDouble,
+                      Value::Double(rng.NextDouble() * 100 - 50)),
+           maybe_null(TypeId::kInt64, Value::Date(rng.Uniform(0, 50))),
+           maybe_null(TypeId::kInt64, std::move(mixed))});
+    }
+    const TableStats stats = CollectStats(schema, rows);
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      const std::vector<Value> want = ReferenceBounds(rows, c);
+      const std::vector<Value>& got = stats.columns[c].histogram_bounds;
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " col " << c;
+      for (size_t b = 0; b < want.size(); ++b) {
+        EXPECT_EQ(got[b].Compare(want[b]), 0)
+            << "seed " << seed << " col " << c << " edge " << b << ": "
+            << got[b].ToString() << " vs " << want[b].ToString();
+        // Single-type columns reproduce the edge exactly, type included
+        // (the mixed column may pick 1 or 1.0 among equal values).
+        if (c + 1 < schema.num_fields()) {
+          EXPECT_EQ(got[b].type(), want[b].type()) << "col " << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "expr/binder.h"
+#include "scan_rows.h"
 #include "sql/parser.h"
 #include "storage/table.h"
 
@@ -44,7 +45,7 @@ TEST(TableTest, InsertAppliesImplicitCasts) {
   // price column is DOUBLE; insert an INT64.
   ASSERT_TRUE(
       table->Insert({Value::Int(1), Value::Int(3), Value::String("x")}).ok());
-  EXPECT_EQ(table->rows()[0][1].type(), TypeId::kDouble);
+  EXPECT_EQ(ScanRows(*table)[0][1].type(), TypeId::kDouble);
 }
 
 TEST(TableTest, NonNullableEnforced) {
@@ -57,8 +58,9 @@ TEST(TableTest, NonNullableEnforced) {
 TEST(TableTest, NullsTakeColumnType) {
   auto table = std::make_shared<Table>("t", ItemsSchema());
   ASSERT_TRUE(table->Insert({Value::Int(1), Value::Null(), Value::Null()}).ok());
-  EXPECT_EQ(table->rows()[0][1].type(), TypeId::kDouble);
-  EXPECT_TRUE(table->rows()[0][1].is_null());
+  const std::vector<Row> rows = ScanRows(*table);
+  EXPECT_EQ(rows[0][1].type(), TypeId::kDouble);
+  EXPECT_TRUE(rows[0][1].is_null());
 }
 
 TEST(TableTest, DeleteByPredicate) {
@@ -78,8 +80,9 @@ TEST(HashIndexTest, LookupAfterBuild) {
   ASSERT_NE(idx, nullptr);
   const auto& hits = idx->Lookup(Value::String("item3"));
   EXPECT_EQ(hits.size(), 10u);
+  const std::vector<Row> rows = ScanRows(*table);
   for (size_t rid : hits) {
-    EXPECT_EQ(table->rows()[rid][2].AsString(), "item3");
+    EXPECT_EQ(rows[rid][2].AsString(), "item3");
   }
   EXPECT_TRUE(idx->Lookup(Value::String("nope")).empty());
   EXPECT_TRUE(idx->Lookup(Value::Null()).empty());
@@ -170,7 +173,7 @@ TEST(SlotStableHeapTest, ReclaimKeepsEveryOtherRowId) {
   // The scan yields (rid, row) pairs with rid == id, ascending.
   int64_t prev = -1;
   int64_t seen = 0;
-  ASSERT_TRUE(table->Scan([&](size_t rid, const Row& row) {
+  ASSERT_TRUE(table->Scan(AllColumns(3), [&](size_t rid, Row& row) {
     EXPECT_EQ(static_cast<int64_t>(rid), row[0].AsInt());
     EXPECT_GT(static_cast<int64_t>(rid), prev);
     prev = static_cast<int64_t>(rid);
@@ -215,6 +218,72 @@ TEST(SlotStableHeapTest, EmptiedPageGoesBackToThePool) {
   EXPECT_EQ(table->num_rows(), 1);
   EXPECT_EQ(table->pool().Snapshot().pages_live, 1);
   EXPECT_EQ((*table->GetRow(400))[0].AsInt(), 7);
+}
+
+/// One scan of a fresh 400-row table whose ids below 40 (whole pages)
+/// and every id % 7 = 3 were reclaimed: the (rid, row) pairs it yields
+/// and the pool traffic it charged.
+struct ScanOutcome {
+  std::vector<size_t> rids;
+  std::vector<Row> rows;
+  BufferPoolStats before;
+  BufferPoolStats after;
+};
+
+ScanOutcome ScanReclaimedItems(const ColumnSet& columns) {
+  ScanOutcome out;
+  auto table = MakePagedItems(400);
+  const int64_t pages = table->pool().Snapshot().pages_live;
+  EXPECT_EQ(*table->Delete(*Bind(*table, "id < 40 OR id % 7 = 3")), 91);
+  EXPECT_LT(table->pool().Snapshot().pages_live, pages);
+  out.before = table->pool().Snapshot();
+  EXPECT_TRUE(table->Scan(columns, [&](size_t rid, Row& row) {
+    out.rids.push_back(rid);
+    out.rows.push_back(std::move(row));
+    return Status::OK();
+  }).ok());
+  out.after = table->pool().Snapshot();
+  return out;
+}
+
+TEST(SlotStableHeapTest, ColumnPrunedScanMatchesAllColumnScan) {
+  const ScanOutcome all = ScanReclaimedItems(AllColumns(3));
+  ASSERT_EQ(all.rids.size(), 309u);
+  ASSERT_GT(all.after.misses - all.before.misses, 0);
+  const std::vector<std::vector<size_t>> column_sets = {
+      {}, {0}, {1}, {2}, {0, 2}, {1, 2}};
+  for (const auto& cols : column_sets) {
+    const ColumnSet read = ColumnsOf(3, cols);
+    const ScanOutcome pruned = ScanReclaimedItems(read);
+    ASSERT_EQ(pruned.rids, all.rids);
+    ASSERT_EQ(pruned.rows.size(), all.rows.size());
+    for (size_t i = 0; i < all.rows.size(); ++i) {
+      ASSERT_EQ(pruned.rows[i].size(), 3u);
+      for (size_t c = 0; c < 3; ++c) {
+        const Value& got = pruned.rows[i][c];
+        // Unread cells are NULLs of the column's declared type.
+        EXPECT_EQ(got.type(), ItemsSchema()->field(c).type);
+        if (read[c]) {
+          EXPECT_EQ(got.Compare(all.rows[i][c]), 0) << i << "," << c;
+          EXPECT_FALSE(got.is_null());
+        } else {
+          EXPECT_TRUE(got.is_null()) << i << "," << c;
+        }
+      }
+    }
+    // Same pages fetched once each, same hits and misses.
+    EXPECT_EQ(pruned.after.hits - pruned.before.hits,
+              all.after.hits - all.before.hits);
+    EXPECT_EQ(pruned.after.misses - pruned.before.misses,
+              all.after.misses - all.before.misses);
+    EXPECT_EQ(pruned.after.evictions - pruned.before.evictions,
+              all.after.evictions - all.before.evictions);
+    EXPECT_EQ(pruned.after.disk_reads - pruned.before.disk_reads,
+              all.after.disk_reads - all.before.disk_reads);
+    EXPECT_EQ(pruned.after.hits + pruned.after.misses -
+                  pruned.before.hits - pruned.before.misses,
+              pruned.before.pages_live);
+  }
 }
 
 TEST(SlotStableHeapTest, IndexesStayCurrentWithoutRescanning) {

@@ -47,6 +47,62 @@ TEST(ValueSerdeTest, BadTagRejected) {
   EXPECT_TRUE(wire::ReadValue(&r).status().IsSerializationError());
 }
 
+/// SkipValue must step over exactly the bytes ReadValue decodes and
+/// fail exactly where ReadValue fails: at every type, NULLs carrying
+/// their type bits, empty and long strings, and every truncation point.
+TEST(ValueSerdeTest, SkipValueConsumesWhatReadValueConsumes) {
+  const Value cases[] = {
+      Value::Null(),
+      Value::Null(TypeId::kBool),
+      Value::Null(TypeId::kInt64),
+      Value::Null(TypeId::kDouble),
+      Value::Null(TypeId::kString),
+      Value::Null(TypeId::kDate),
+      Value::Bool(true),
+      Value::Bool(false),
+      Value::Int(0),
+      Value::Int(-1),
+      Value::Int(INT64_MIN),
+      Value::Int(INT64_MAX),
+      Value::Double(3.14159),
+      Value::Double(-0.0),
+      Value::String(""),
+      Value::String("memo"),
+      Value::String(std::string(300, 'x')),  // two-byte length varint
+      Value::Date(-719162),
+      Value::Date(19500),
+  };
+  for (const Value& v : cases) {
+    ByteWriter w;
+    wire::WriteValue(&w, v);
+    const std::vector<uint8_t>& bytes = w.data();
+    for (size_t len = 0; len <= bytes.size(); ++len) {
+      ByteReader read(bytes.data(), len);
+      ByteReader skip(bytes.data(), len);
+      const bool read_ok = wire::ReadValue(&read).ok();
+      const Status skipped = wire::SkipValue(&skip);
+      EXPECT_EQ(skipped.ok(), read_ok) << v.ToString() << " cut at " << len;
+      EXPECT_EQ(skip.position(), read.position())
+          << v.ToString() << " cut at " << len;
+      // Only the whole encoding decodes.
+      EXPECT_EQ(skipped.ok(), len == bytes.size())
+          << v.ToString() << " cut at " << len;
+      if (!skipped.ok()) EXPECT_TRUE(skipped.IsSerializationError());
+    }
+  }
+  // Bad tags and a varint that never ends fail both ways.
+  const std::vector<std::vector<uint8_t>> bad = {
+      {0x07}, {0x0f}, {0x06}, {0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                               0xff, 0xff, 0xff, 0xff, 0x01}};
+  for (const auto& bytes : bad) {
+    ByteReader read(bytes);
+    ByteReader skip(bytes);
+    EXPECT_FALSE(wire::ReadValue(&read).ok());
+    EXPECT_TRUE(wire::SkipValue(&skip).IsSerializationError());
+    EXPECT_EQ(skip.position(), read.position());
+  }
+}
+
 TEST(SchemaSerdeTest, RoundTrip) {
   Schema schema({{"id", TypeId::kInt64, false, "orders"},
                  {"total", TypeId::kDouble, true, "orders"},
